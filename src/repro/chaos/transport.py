@@ -28,7 +28,7 @@ import dataclasses
 from repro.chaos.controller import ChaosController
 from repro.ws import payload, soap
 from repro.ws.payload import PayloadRef
-from repro.ws.pipeline import CallContext, ClientInterceptor
+from repro.ws.pipeline import CallContext, ClientInterceptor, run_chain
 from repro.ws.soap import SoapRequest, SoapResponse
 from repro.ws.transport import Transport
 
@@ -74,7 +74,7 @@ class ChaosInterceptor(ClientInterceptor):
         self.controller = controller
         self.endpoint = endpoint
 
-    def intercept(self, request, ctx, proceed):
+    def around(self, request, ctx):
         self.controller.perturb(self.endpoint)
         # corrupt a by-reference parameter in flight: the receiver sees
         # a digest its store cannot hold, raising PayloadMissError (a
@@ -84,8 +84,8 @@ class ChaosInterceptor(ClientInterceptor):
         # traffic keep their exact fault sequences.
         if payload.refs_in(request) and \
                 self.controller.should_corrupt(self.endpoint):
-            return proceed(_corrupt_refs(request))
-        response = proceed(request)
+            return (yield _corrupt_refs(request))
+        response = yield request
         if self.controller.should_corrupt(self.endpoint):
             # truncate the real envelope so the decoder sees genuinely
             # malformed bytes (raises ServiceError, a transient fault)
@@ -115,7 +115,7 @@ class ChaosTransport(Transport):
         ctx = CallContext(kind="chaos", endpoint=self.interceptor.endpoint,
                           service=request.service,
                           operation=request.operation)
-        return self.interceptor.intercept(request, ctx, self.inner.send)
+        return run_chain([self.interceptor], request, ctx, self.inner.send)
 
     def close(self) -> None:
         self.inner.close()

@@ -414,12 +414,8 @@ class AdmissionHandler:
     def __init__(self, controller: AdmissionController):
         self.controller = controller
 
-    def handle(self, request: Any, ctx: Any, proceed) -> Any:
+    def around(self, request: Any, ctx: Any):
         """Admit (or shed) the dispatch, holding the slot across it."""
-        ticket = self.controller.admit(principal=request.principal,
-                                       priority=request.priority)
-        with ticket:
-            return proceed(request)
-
-    def __call__(self, request: Any, ctx: Any, proceed) -> Any:
-        return self.handle(request, ctx, proceed)
+        with self.controller.admit(principal=request.principal,
+                                   priority=request.priority):
+            return (yield request)

@@ -25,8 +25,9 @@ Attach admission *either* here (front door — recommended for this
 server) or on the container (the ``admission`` chain step, which also
 guards sync servers); attaching both would double-charge every call.
 
-Everything HTTP-mechanical below the admission decision is delegated
-to :class:`~repro.ws.pipeline.HttpGateway`, exactly like the threaded
+Everything but the byte loop and that admission decision — routing,
+``Content-Length`` validation, the index, ``?wsdl``, the POST itself —
+is :class:`~repro.ws.pipeline.HttpGateway`, exactly like the threaded
 server, so both serving planes answer byte-identical envelopes.  This
 module is the *policy* plane: it may import admission and obs, but
 never circuit breakers or chaos (``tools/layering_lint.py``).
@@ -35,29 +36,26 @@ never circuit breakers or chaos (``tools/layering_lint.py``).
 from __future__ import annotations
 
 import asyncio
-import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from urllib.parse import urlparse
+from http import HTTPStatus
 
-from repro.errors import OverloadedError, ServiceError
+from repro.errors import OverloadedError
 from repro.obs import get_metrics
-from repro.ws import shm, soap, wsdl
+from repro.ws import soap
 from repro.ws.admission import DEFAULT_RETRY_HINT_S, AdmissionController
 from repro.ws.container import ServiceContainer
-from repro.ws.pipeline import HttpGateway
-from repro.ws.soap import SoapFault
+from repro.ws.httpd import HttpFront
+from repro.ws.pipeline import (HttpGateway, HttpReject, HttpResponse,
+                               http_response, service_of)
 
 #: Reading a request head (request line + headers) is bounded so a
 #: misbehaving client cannot balloon the loop's memory.
 _MAX_HEADER_BYTES = 32 * 1024
 
-_TEXT = "text/plain; charset=utf-8"
-_XML = "text/xml; charset=utf-8"
 
-
-class AsyncSoapHttpServer:
+class AsyncSoapHttpServer(HttpFront):
     """An event-loop SOAP host bound to 127.0.0.1.
 
     Runs its own loop on a background thread so sync callers use it
@@ -126,7 +124,8 @@ class AsyncSoapHttpServer:
         server = await asyncio.start_server(
             self._serve_connection, "127.0.0.1", self._requested_port)
         self.port = server.sockets[0].getsockname()[1]
-        self.base_url = f"http://127.0.0.1:{self.port}"
+        self.base_url = self.gateway.base_url = \
+            f"http://127.0.0.1:{self.port}"
         uds_server = None
         if self.uds_path:
             if os.path.exists(self.uds_path):
@@ -153,27 +152,6 @@ class AsyncSoapHttpServer:
         if self._thread is not None:
             self._thread.join(timeout=10)
 
-    def endpoint(self, service: str) -> str:
-        """The SOAP endpoint URL of *service*."""
-        return f"{self.base_url}/services/{service}"
-
-    def uds_endpoint(self, service: str) -> str:
-        """The ``unix://`` endpoint URL of *service* (uds_path set)."""
-        if not self.uds_path:
-            raise ServiceError("server has no unix socket listener")
-        from repro.ws.transport import unix_url
-        return unix_url(self.uds_path, f"/services/{service}")
-
-    def wsdl_url(self, service: str) -> str:
-        """The WSDL URL of *service*."""
-        return f"{self.endpoint(service)}?wsdl"
-
-    def __enter__(self) -> "AsyncSoapHttpServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
     # -- connection handling -------------------------------------------------
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
@@ -185,14 +163,18 @@ class AsyncSoapHttpServer:
                 if head is None:
                     return
                 method, target, headers = head
-                length = int(headers.get("content-length", "0"))
+                try:
+                    length = self.gateway.body_length(target, headers)
+                except HttpReject as reject:
+                    # the unread body is still queued: answer and hang up
+                    await self._write_response(writer, reject.response,
+                                               keep_alive=False)
+                    return
                 body = await reader.readexactly(length) if length else b""
                 keep_alive = headers.get("connection", "").lower() != "close"
-                status, resp_body, content_type, encoding, extra = \
-                    await self._handle(method, target, headers, body)
                 await self._write_response(
-                    writer, status, resp_body, content_type, encoding,
-                    extra, keep_alive)
+                    writer, await self._handle(method, target, headers, body),
+                    keep_alive)
                 if not keep_alive:
                     return
         except (asyncio.IncompleteReadError, ConnectionResetError,
@@ -227,21 +209,13 @@ class AsyncSoapHttpServer:
         return method, target, headers
 
     async def _write_response(self, writer: asyncio.StreamWriter,
-                              status: int, body: bytes, content_type: str,
-                              encoding: str | None, extra: dict,
+                              response: HttpResponse,
                               keep_alive: bool) -> None:
-        reason = {200: "OK", 404: "Not Found", 405: "Method Not Allowed",
-                  500: "Internal Server Error",
-                  503: "Service Unavailable"}.get(status, "OK")
-        lines = [f"HTTP/1.1 {status} {reason}",
-                 f"Content-Type: {content_type}",
-                 "X-Repro-Codecs: columnar",
-                 f"X-Repro-Boot: {shm.boot_id()}",
-                 f"Content-Length: {len(body)}"]
-        if encoding:
-            lines.append(f"Content-Encoding: {encoding}")
-        lines.extend(f"{name}: {value}" for name, value in extra.items())
-        if not keep_alive:
+        status, headers, body = response
+        lines = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}"]
+        lines.extend(f"{name}: {value}" for name, value in headers.items())
+        lines.append(f"Content-Length: {len(body)}")
+        if not keep_alive and "Connection" not in headers:
             lines.append("Connection: close")
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
         writer.write(body)
@@ -249,72 +223,39 @@ class AsyncSoapHttpServer:
 
     # -- request handling ----------------------------------------------------
 
-    def _service_name(self, path: str) -> str | None:
-        parts = [p for p in path.split("/") if p]
-        if len(parts) == 2 and parts[0] == "services":
-            return parts[1]
-        return None
-
     async def _handle(self, method: str, target: str, headers: dict,
-                      body: bytes):
-        """Route one request; returns
-        ``(status, body, content_type, encoding, extra_headers)``."""
-        parsed = urlparse(target)
-        if method == "GET":
-            return self._handle_get(parsed)
-        if method != "POST":
-            return 405, b"method not allowed", _TEXT, None, {}
-        name = self._service_name(parsed.path)
-        if name is None:
-            return 404, b"not found", _TEXT, None, {}
-        return await self._handle_post(name, headers, body)
-
-    def _handle_get(self, parsed):
-        if parsed.path.rstrip("/") == "/services":
-            body = "\n".join(self.container.services()).encode()
-            return 200, body, _TEXT, None, {}
-        name = self._service_name(parsed.path)
-        if name is None or "wsdl" not in parsed.query.lower():
-            return 404, b"not found", _TEXT, None, {}
-        try:
-            definition = self.container.definition(name)
-        except (ServiceError, SoapFault):
-            return 404, f"no service {name!r}".encode(), _TEXT, None, {}
-        address = f"{self.base_url}/services/{name}"
-        return 200, wsdl.generate(definition, address).encode(), _XML, \
-            None, {}
-
-    async def _handle_post(self, name: str, headers: dict, body: bytes):
+                      body: bytes) -> HttpResponse:
+        """Answer one request: admit a SOAP POST at the front door, then
+        hand it to the gateway on the dispatch pool."""
+        name = service_of(target)
+        if method != "POST" or name is None:
+            return self.gateway.handle(method, target, headers, body)
         ticket = None
         if self.admission is not None:
-            principal = headers.get("x-repro-principal", "")
             try:
                 priority = int(headers.get("x-repro-priority", "0"))
             except ValueError:
                 priority = 0
             try:
                 ticket = await self.admission.admit_async(
-                    principal=principal, priority=priority)
+                    principal=headers.get("x-repro-principal", ""),
+                    priority=priority)
             except OverloadedError as exc:
                 return self._shed_response(name, exc)
         try:
-            post = functools.partial(
-                self.gateway.post, name, body,
-                content_encoding=headers.get("content-encoding"),
-                accept_encoding=headers.get("accept-encoding"))
-            status, resp_body, content_type, encoding = \
-                await self._loop.run_in_executor(self._executor, post)
+            return await self._loop.run_in_executor(
+                self._executor, self.gateway.handle, method, target,
+                headers, body)
         finally:
             if ticket is not None:
                 ticket.release()
-        return status, resp_body, content_type, encoding, {}
 
-    def _shed_response(self, name: str, exc: OverloadedError):
+    def _shed_response(self, name: str,
+                       exc: OverloadedError) -> HttpResponse:
         """The cheap 503: a canned fault envelope, no XML was parsed."""
         retry_after = exc.retry_after_s or DEFAULT_RETRY_HINT_S
-        metrics = get_metrics()
-        metrics.counter("ws.http.requests", service=name,
-                        status=503).inc()
-        body = soap.encode_fault(soap.fault_for(exc))
-        return 503, body, _XML, None, \
-            {"Retry-After": f"{retry_after:.3f}"}
+        get_metrics().counter("ws.http.requests", service=name,
+                              status=503).inc()
+        return http_response(
+            503, soap.encode_fault(soap.fault_for(exc)),
+            retry_after=f"{retry_after:.3f}")

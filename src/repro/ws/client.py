@@ -188,11 +188,11 @@ class ServiceProxy:
     async def call_async(self, operation: str, **params: Any) -> Any:
         """Invoke *operation* from an event loop.
 
-        Runs the same proxy interceptor chain (async mirrors of the
-        deadline/breaker/trace/metrics steps) into
-        ``transport.send_async``, so policy and telemetry match
-        :meth:`call` exactly while thousands of in-flight calls share
-        one thread.
+        Runs the same proxy interceptor chain under the async driver
+        into ``transport.send_async`` — which the socket transports
+        (``http://``, ``unix://``) provide — so policy and telemetry
+        match :meth:`call` exactly while thousands of in-flight calls
+        share one thread.
         """
         self._validate(operation, params)
         request = self._request(operation, params)

@@ -32,7 +32,6 @@ install a custom chain.
 
 from __future__ import annotations
 
-import asyncio
 import pickle
 import tempfile
 import threading
@@ -42,7 +41,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.errors import ServiceError
-from repro.ws import pipeline
+from repro.ws import pipeline, wsdl
 from repro.ws.admission import AdmissionController, AdmissionHandler
 from repro.ws.pipeline import (RESULT_CACHE_ENTRIES,  # noqa: F401
                                DispatchContext, _params_digest,
@@ -152,6 +151,10 @@ class ServiceContainer:
         """Mutable stats record of a deployed service."""
         return self._deployment(name).stats
 
+    def wsdl_document(self, name: str, address: str) -> str:
+        """WSDL text of a deployed service, bound to endpoint *address*."""
+        return wsdl.generate(self.definition(name), address)
+
     def lifecycle(self, name: str) -> str:
         """Lifecycle name of a deployed service."""
         return self._deployment(name).lifecycle
@@ -180,20 +183,6 @@ class ServiceContainer:
             ctx.properties["instance"], request.operation, request.params)
         return SoapResponse(service=request.service,
                             operation=request.operation, result=result)
-
-    async def invoke_async(self, request: SoapRequest) -> SoapResponse:
-        """Dispatch one request without blocking the event loop.
-
-        The sync handler chain runs unchanged on a worker thread
-        (``asyncio.to_thread`` carries the ambient contextvars, so
-        deadline scopes and trace context propagate); CPU-bound ML
-        dispatches therefore never stall the serving loop.  Admission
-        control still applies — the chain's ``admission`` step runs on
-        the worker — but async front doors should prefer shedding via
-        :meth:`~repro.ws.admission.AdmissionController.admit_async`
-        before paying for the offload.
-        """
-        return await asyncio.to_thread(self.invoke, request)
 
     def call(self, service: str, operation: str, **params: Any) -> Any:
         """Convenience in-process invocation."""

@@ -16,12 +16,13 @@ Unix domain socket (``unix://`` endpoints, see
 :class:`~repro.ws.transport.UnixSocketTransport`) — the same-host fast
 path that skips the TCP loopback stack entirely.
 
-The handler here is pure HTTP mechanics (routing, header parsing, byte
-I/O); everything between "POST body arrived" and "bytes to answer with"
-— decompression, envelope decode, deadline shedding, tracing, fault
-mapping, response compression, metrics — lives in
+The handler here is a byte loop (head parsing, body read, response
+framing); routing, ``Content-Length`` validation and everything between
+"request arrived" and "bytes to answer with" live in
 :class:`repro.ws.pipeline.HttpGateway`, keeping this module free of
 policy imports (enforced by ``tools/layering_lint.py``).
+:class:`ThreadedListener` is the one threaded front: this server binds
+it to a container's gateway, the mesh gateway to its ingress.
 """
 
 from __future__ import annotations
@@ -31,13 +32,10 @@ import socket
 import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlparse
 
 from repro.errors import ServiceError
-from repro.ws import shm, wsdl
 from repro.ws.container import ServiceContainer
-from repro.ws.pipeline import HttpGateway
-from repro.ws.soap import SoapFault
+from repro.ws.pipeline import HttpGateway, HttpReject, HttpResponse
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -51,74 +49,32 @@ class _Handler(BaseHTTPRequestHandler):
     # stall on what remains: an un-buffered two-write response against
     # a keep-alive connection costs a ~40ms delayed-ACK pause per call
     wbufsize = -1
-    disable_nagle_algorithm = True
-    container: ServiceContainer  # injected by the server factory
-    gateway: HttpGateway         # injected by the server factory
-    base_url: str
+    gateway: HttpGateway  # bound per listener
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # keep test output clean; stats live on the container
 
-    def _send(self, status: int, body: bytes,
-              content_type: str = "text/xml; charset=utf-8",
-              encoding: str | None = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        # capability advertisement: clients upgrade dataset arguments
-        # from ARFF text to binary columnar frames once they see this
-        self.send_header("X-Repro-Codecs", "columnar")
-        # same-host advertisement: a client seeing its own boot id may
-        # send shared-memory payload refs instead of inline bytes
-        self.send_header("X-Repro-Boot", shm.boot_id())
-        if encoding:
-            self.send_header("Content-Encoding", encoding)
-        self.send_header("Content-Length", str(len(body)))
+    def _send(self, response: HttpResponse) -> None:
+        self.send_response(response.status)
+        for name, value in response.headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(response.body)))
         self.end_headers()
-        self.wfile.write(body)
+        self.wfile.write(response.body)
 
-    def _service_name(self) -> str | None:
-        path = urlparse(self.path).path
-        parts = [p for p in path.split("/") if p]
-        if len(parts) == 2 and parts[0] == "services":
-            return parts[1]
-        return None
-
-    def do_GET(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        if parsed.path.rstrip("/") == "/services":
-            body = "\n".join(self.container.services()).encode()
-            self._send(200, body, "text/plain; charset=utf-8")
-            return
-        name = self._service_name()
-        if name is None or "wsdl" not in parsed.query.lower():
-            self._send(404, b"not found", "text/plain")
-            return
+    def _serve(self) -> None:
+        headers = {name.lower(): value
+                   for name, value in self.headers.items()}
         try:
-            definition = self.container.definition(name)
-        except (ServiceError, SoapFault):
-            self._send(404, f"no service {name!r}".encode(), "text/plain")
+            length = self.gateway.body_length(self.path, headers)
+        except HttpReject as reject:
+            self.close_connection = True  # the unread body is still queued
+            self._send(reject.response)
             return
-        address = f"{self.base_url}/services/{name}"
-        self._send(200, wsdl.generate(definition, address).encode())
+        self._send(self.gateway.handle(self.command, self.path, headers,
+                                       self.rfile.read(length)))
 
-    def do_POST(self) -> None:  # noqa: N802
-        name = self._service_name()
-        if name is None:
-            self._send(404, b"not found", "text/plain")
-            return
-        length = int(self.headers.get("Content-Length", "0"))
-        raw = self.rfile.read(length)
-        status, body, content_type, encoding = self.gateway.post(
-            name, raw,
-            content_encoding=self.headers.get("Content-Encoding"),
-            accept_encoding=self.headers.get("Accept-Encoding"))
-        self._send(status, body, content_type, encoding)
-
-
-class _UnixHandler(_Handler):
-    # TCP_NODELAY does not exist on AF_UNIX sockets (setup() would
-    # raise); there is no Nagle to disable either
-    disable_nagle_algorithm = False
+    do_GET = do_POST = do_PUT = do_DELETE = _serve  # noqa: N815
 
 
 class _UnixThreadingHTTPServer(ThreadingHTTPServer):
@@ -135,66 +91,40 @@ class _UnixThreadingHTTPServer(ThreadingHTTPServer):
         self.server_port = 0
 
 
-class SoapHttpServer:
-    """A threaded SOAP-over-HTTP host bound to 127.0.0.1.
+class ThreadedListener:
+    """One threaded HTTP listener serving *gateway* on *address*: a
+    ``(host, port)`` pair, or a filesystem path for a Unix socket."""
 
-    With ``uds_path`` the same container is *also* served on a Unix
-    domain socket at that path (stale socket files are replaced); both
-    listeners share one :class:`~repro.ws.pipeline.HttpGateway`, so
-    policy and metrics are identical across transports.
-    """
-
-    def __init__(self, container: ServiceContainer, port: int = 0,
-                 compress: bool = True, uds_path: str | None = None):
-        handler = type("BoundHandler", (_Handler,), {})
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", port), handler)
-        self.port = self._httpd.server_address[1]
-        self.base_url = f"http://127.0.0.1:{self.port}"
-        handler.container = container
-        handler.gateway = HttpGateway(container, compress=compress)
-        handler.base_url = self.base_url
-        self.container = container
-        self.uds_path: str | None = None
-        self._uds_httpd: _UnixThreadingHTTPServer | None = None
-        if uds_path:
-            uds_handler = type("BoundUnixHandler", (_UnixHandler,), {})
-            uds_handler.container = container
-            uds_handler.gateway = handler.gateway
-            uds_handler.base_url = self.base_url
-            if os.path.exists(uds_path):
-                os.unlink(uds_path)
-            self._uds_httpd = _UnixThreadingHTTPServer(
-                uds_path, uds_handler)
-            self.uds_path = uds_path
-        self._thread: threading.Thread | None = None
-        self._uds_thread: threading.Thread | None = None
-
-    def start(self) -> "SoapHttpServer":
-        """Start serving in a background thread; returns ``self``."""
+    def __init__(self, gateway: HttpGateway, address, name: str):
+        tcp = not isinstance(address, str)
+        # TCP_NODELAY does not exist on AF_UNIX sockets (setup() would
+        # raise); there is no Nagle to disable there either
+        handler = type("BoundHandler", (_Handler,),
+                       {"gateway": gateway, "disable_nagle_algorithm": tcp})
+        self._httpd = (ThreadingHTTPServer if tcp
+                       else _UnixThreadingHTTPServer)(address, handler)
+        self.address = self._httpd.server_address
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True,
-            name=f"soap-httpd-{self.port}")
+            target=self._httpd.serve_forever, daemon=True, name=name)
+
+    def start(self) -> None:
+        """Serve in a background thread."""
         self._thread.start()
-        if self._uds_httpd is not None:
-            self._uds_thread = threading.Thread(
-                target=self._uds_httpd.serve_forever, daemon=True,
-                name=f"soap-httpd-uds-{self.port}")
-            self._uds_thread.start()
-        return self
 
     def stop(self) -> None:
-        """Shut down and release resources."""
+        """Shut down and release the socket."""
         self._httpd.shutdown()
         self._httpd.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
-        if self._uds_httpd is not None:
-            self._uds_httpd.shutdown()
-            self._uds_httpd.server_close()
-            if self._uds_thread:
-                self._uds_thread.join(timeout=5)
-            if self.uds_path and os.path.exists(self.uds_path):
-                os.unlink(self.uds_path)
+        self._thread.join(timeout=5)
+
+
+class HttpFront:
+    """The URL surface every HTTP front shares; a subclass sets
+    :attr:`base_url` (and :attr:`uds_path` when it also listens on a
+    Unix socket) and provides ``start()`` / ``stop()``."""
+
+    base_url = ""
+    uds_path: str | None = None
 
     def endpoint(self, service: str) -> str:
         """The SOAP endpoint URL of *service*."""
@@ -211,8 +141,48 @@ class SoapHttpServer:
         """The WSDL URL of *service*."""
         return f"{self.endpoint(service)}?wsdl"
 
-    def __enter__(self) -> "SoapHttpServer":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+
+class SoapHttpServer(HttpFront):
+    """A threaded SOAP-over-HTTP host bound to 127.0.0.1.
+
+    With ``uds_path`` the same container is *also* served on a Unix
+    domain socket at that path (stale socket files are replaced); both
+    listeners share one :class:`~repro.ws.pipeline.HttpGateway`, so
+    policy and metrics are identical across transports.
+    """
+
+    def __init__(self, container: ServiceContainer, port: int = 0,
+                 compress: bool = True, uds_path: str | None = None):
+        self.container = container
+        self.gateway = HttpGateway(container, compress=compress)
+        tcp = ThreadedListener(self.gateway, ("127.0.0.1", port),
+                               "soap-httpd")
+        self.port = tcp.address[1]
+        self.base_url = self.gateway.base_url = \
+            f"http://127.0.0.1:{self.port}"
+        self._listeners = [tcp]
+        self.uds_path = uds_path or None
+        if self.uds_path:
+            if os.path.exists(self.uds_path):
+                os.unlink(self.uds_path)
+            self._listeners.append(ThreadedListener(
+                self.gateway, self.uds_path, "soap-httpd-uds"))
+
+    def start(self) -> "SoapHttpServer":
+        """Start serving in background threads; returns ``self``."""
+        for listener in self._listeners:
+            listener.start()
+        return self
+
+    def stop(self) -> None:
+        """Shut down and release resources."""
+        for listener in self._listeners:
+            listener.stop()
+        if self.uds_path and os.path.exists(self.uds_path):
+            os.unlink(self.uds_path)

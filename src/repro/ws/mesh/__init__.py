@@ -17,8 +17,8 @@ as it was:
   shard on the async serving plane, announce-file handshake.
 * :mod:`~repro.ws.mesh.supervisor` — fork/watch/restart/drain of the
   worker fleet; lease heartbeats keep the registry truthful.
-* :mod:`~repro.ws.mesh.gateway` — the stable HTTP front door; routing
-  runs as a client interceptor-chain step behind the PR-4 gateway.
+* :mod:`~repro.ws.mesh.gateway` — the stable HTTP front door; the
+  router is the terminal of a client chain behind the shared gateway.
 * :mod:`~repro.ws.mesh.host` — :func:`start_mesh`, the one-call
   composition root.
 
@@ -33,16 +33,16 @@ from repro.ws.mesh.gateway import MeshGateway, MeshIngress
 from repro.ws.mesh.host import MeshHost, plan_shards, start_mesh
 from repro.ws.mesh.profile import EndpointProfile, ProfileBook
 from repro.ws.mesh.ring import ConsistentHashRing, stable_hash
-from repro.ws.mesh.router import (AdaptivePolicy, HashPolicy, MeshRoute,
-                                  MeshRouter, RoundRobinPolicy,
-                                  RoutingPolicy, make_policy)
+from repro.ws.mesh.router import (AdaptivePolicy, HashPolicy, MeshRouter,
+                                  RoundRobinPolicy, RoutingPolicy,
+                                  make_policy)
 from repro.ws.mesh.supervisor import (WorkerHandle, WorkerSpec,
                                       WorkerSupervisor)
 
 __all__ = [
     "AdaptivePolicy", "ConsistentHashRing", "EndpointProfile",
     "HashPolicy", "MeshEndpoint", "MeshGateway", "MeshHost",
-    "MeshIngress", "MeshRoute", "MeshRouter", "ProfileBook",
+    "MeshIngress", "MeshRouter", "ProfileBook",
     "RegistryEndpoints", "RoundRobinPolicy", "RoutingPolicy",
     "ServiceEndpoints", "WorkerHandle", "WorkerSpec",
     "WorkerSupervisor", "make_policy", "plan_shards", "stable_hash",

@@ -1,4 +1,4 @@
-"""Replica routing: policies, substitution and the chain's route step.
+"""Replica routing: policies, substitution and the gateway chain's terminal.
 
 :class:`MeshRouter` is the gateway's forwarding engine.  For each call
 it asks discovery for the live replicas of the target service, ranks
@@ -24,9 +24,9 @@ Three policies ship:
 Per-replica :class:`~repro.ws.breaker.CircuitBreaker`\\ s guard every
 endpoint; breaker transitions feed the registry's health states via the
 discovery source, so a dead replica vanishes from *everyone's* view,
-not just this router's.  :class:`MeshRoute` packages the router as a
-:class:`~repro.ws.pipeline.ClientInterceptor`, so routing composes with
-the deadline/trace/metrics steps like any other chain member.
+not just this router's.  :meth:`MeshRouter.send` has the shape of a
+transport's ``send``, so the gateway uses it as the terminal of its
+deadline/trace/metrics client chain.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.ws.breaker import OPEN, CircuitBreaker
 from repro.ws.mesh.endpoints import MeshEndpoint, RegistryEndpoints
 from repro.ws.mesh.profile import ProfileBook
 from repro.ws.mesh.ring import ConsistentHashRing
-from repro.ws.pipeline import ClientInterceptor
 from repro.ws.registry import HEALTH_DOWN, HEALTH_UP
 from repro.ws.soap import SoapFault, SoapRequest, SoapResponse
 from repro.ws.transport import (HttpTransport, parse_unix_url,
@@ -334,21 +333,3 @@ class MeshRouter:
         for transport in transports:
             transport.close()
 
-
-class MeshRoute(ClientInterceptor):
-    """The routing decision as a chain step.
-
-    Terminal by design — it answers from the router instead of calling
-    ``proceed`` — so the gateway composes it after the standard
-    deadline/trace/metrics steps and everything the PR-4 pipeline
-    already does (budget stamping, span parenting, per-call metrics)
-    applies to routed calls unchanged.
-    """
-
-    name = "route"
-
-    def __init__(self, router: MeshRouter):
-        self.router = router
-
-    def intercept(self, request, ctx, proceed):
-        return self.router.send(request)

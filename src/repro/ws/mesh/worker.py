@@ -46,9 +46,9 @@ class SlowDispatch(ServerHandler):
     def __init__(self, delay_s: float):
         self.delay_s = delay_s
 
-    def handle(self, request, ctx, proceed):
+    def around(self, request, ctx):
         time.sleep(self.delay_s)
-        return proceed(request)
+        return (yield request)
 
 
 def build_container(services: list[str] | None,

@@ -1,18 +1,47 @@
-"""Composable interceptor pipelines — the Axis handler-chain analogue.
+"""Composable handler chains — the Axis handler-chain analogue.
 
 The paper's services run under Tomcat/Axis, where every message passes
-through configurable *handler chains* before and after the actual
-transport/dispatch.  This module is our equivalent: the cross-cutting
-concerns that used to live inline in ``HttpTransport.send``,
-``ServiceProxy.call`` and ``ServiceContainer.invoke`` are each one named
-:class:`ClientInterceptor` / :class:`ServerHandler`, composed into
-ordered chains around a *terminal* (the pure byte mover or the actual
-method dispatch).
+through configurable *handler chains* and one
+``Handler.invoke(MessageContext)`` serves the request flow, the
+response flow and the fault flow.  This module is our equivalent: each
+cross-cutting concern of ``ServiceProxy.call``, ``Transport.send`` and
+``ServiceContainer.invoke`` is one named step with one method,
+:meth:`ChainStep.around`, composed into ordered chains around a
+*terminal* (the pure byte mover, or the actual method dispatch).
 
-Every step sees the :class:`~repro.ws.soap.SoapRequest`, a per-call
-context, and a ``proceed(request)`` continuation for the rest of the
-chain — so a step may observe, rewrite, short-circuit (return without
-calling ``proceed``), or wrap the call in ``try``/``finally``.
+``around(request, ctx)`` is a generator, and the ``yield`` is the rest
+of the chain:
+
+* code before ``yield request`` is the **request flow** (observe or
+  rewrite the outgoing message);
+* the value of the ``yield`` is the response from the rest of the
+  chain — the **response flow**; the step's ``return`` value is what
+  the steps above it see;
+* an exception raised below is thrown in at the ``yield`` — the
+  **fault flow** — so ``try``/``except``/``finally`` and ``with``
+  blocks around the ``yield`` behave as they would around a call;
+* returning without yielding short-circuits (a cache hit); yielding
+  again re-enters the rest of the chain (the payload-miss resend,
+  multicall's per-item dispatch).
+
+Writing a step::
+
+    class Stopwatch(ClientInterceptor):
+        name = "stopwatch"
+
+        def around(self, request, ctx):
+            start = time.perf_counter()         # request flow
+            try:
+                response = yield request        # the rest of the chain
+            except TransportError:              # fault flow
+                ctx.note("failed_after", time.perf_counter() - start)
+                raise
+            ctx.note("took", time.perf_counter() - start)
+            return response                     # response flow
+
+Two drivers run the same steps: :func:`run_chain` for blocking callers
+and :func:`run_chain_async` for an event loop.  They differ only by
+``await`` and are the only sync/async twin in this module.
 
 Default orders (outermost first; names are stable API):
 
@@ -25,13 +54,6 @@ Default orders (outermost first; names are stable API):
   lifecycle → faults → dispatch`` (``ServiceContainer(admission=...)``
   splices the ``admission`` load-shedding step in after ``deadline``)
 
-Every step also runs from an event loop (:func:`run_chain_async`):
-steps that define ``intercept_async`` / ``handle_async`` are awaited
-natively, and plain sync steps are bridged through a worker thread
-whose ``proceed`` re-enters the loop — so custom sync interceptors
-keep working, unchanged, under the async serving plane
-(:mod:`repro.ws.aserve`).
-
 Byte movers stay free of policy imports (no :mod:`repro.obs`, no
 breaker, no chaos — enforced by ``tools/layering_lint.py``): they report
 wire telemetry through :meth:`CallContext.note` (picked up by the trace
@@ -39,32 +61,34 @@ step) and the :attr:`CallContext.on_wire` /
 :attr:`CallContext.on_transport_error` / :attr:`CallContext.emit_counter`
 callbacks (installed by the metrics step), so a chain without those
 steps simply records nothing.
+
+On the serving side :class:`HttpGateway` is the one request handler
+behind all three HTTP fronts.
 """
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
-import contextvars
+import contextlib
 import copy
 import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable
+from typing import Any, Awaitable, Callable, NamedTuple
+from urllib.parse import urlparse
 
 from repro.data import cache as datacache
 from repro.errors import (DeadlineExceeded, OverloadedError, ServiceError,
                           TransportError)
 from repro.obs import SpanContext, get_metrics, get_tracer
-from repro.ws import payload, soap
+from repro.ws import payload, shm, soap
 from repro.ws.deadline import current_deadline, deadline_scope
 from repro.ws.payload import PayloadMissError
 from repro.ws.soap import (DEADLINE_FAULTCODE, SoapFault, SoapRequest,
                            SoapResponse)
 
-Proceed = Callable[[SoapRequest], SoapResponse]
-AsyncProceed = Callable[[SoapRequest], Awaitable[SoapResponse]]
+Terminal = Callable[[SoapRequest], SoapResponse]
+AsyncTerminal = Callable[[SoapRequest], Awaitable[SoapResponse]]
 
 
 def _noop_on_wire(bytes_sent: int, bytes_received: int) -> None:
@@ -119,132 +143,87 @@ class DispatchContext:
     properties: dict[str, Any] = field(default_factory=dict)
 
 
-class ClientInterceptor:
-    """One client-side chain step; subclass and override :meth:`intercept`.
+class ChainStep:
+    """One chain step; subclass and override :meth:`around`.
 
     ``name`` identifies the step for :func:`chain_names` /
     :func:`chain_without` / :func:`chain_insert_before` composition.
-    Steps that are safe to await natively additionally override
-    :meth:`intercept_async`; the base implementation bridges the sync
-    :meth:`intercept` through a worker thread (see
-    :func:`run_sync_step_async`), so any third-party sync-only step —
-    chaos injection included — keeps working on the async plane.
+    The client chains take a :class:`CallContext`, the container chain
+    a :class:`DispatchContext`; :class:`ClientInterceptor` and
+    :class:`ServerHandler` name this one class for each side.
     """
 
-    name = "interceptor"
+    name = "step"
 
-    def intercept(self, request: SoapRequest, ctx: CallContext,
-                  proceed: Proceed) -> SoapResponse:
-        """Handle one call; delegate to the rest of the chain via
-        ``proceed(request)`` (or short-circuit by not calling it)."""
-        return proceed(request)
-
-    async def intercept_async(self, request: SoapRequest, ctx: CallContext,
-                              proceed: AsyncProceed) -> SoapResponse:
-        """Async mirror of :meth:`intercept` (default: thread bridge)."""
-        return await run_sync_step_async(self.intercept, request, ctx,
-                                         proceed)
-
-    def __call__(self, request: SoapRequest, ctx: Any,
-                 proceed: Proceed) -> SoapResponse:
-        return self.intercept(request, ctx, proceed)
+    def around(self, request: SoapRequest, ctx: Any):
+        """Handle one message: a generator whose ``yield request`` is
+        the rest of the chain (see the module docstring for the request,
+        response and fault flows).  It must be a generator function —
+        keep a ``yield`` in it even on paths that answer without one."""
+        return (yield request)
 
 
-class ServerHandler:
-    """One server-side chain step; subclass and override :meth:`handle`."""
-
-    name = "handler"
-
-    def handle(self, request: SoapRequest, ctx: DispatchContext,
-               proceed: Proceed) -> SoapResponse:
-        """Handle one dispatch; delegate to the rest of the chain via
-        ``proceed(request)`` (or short-circuit by not calling it)."""
-        return proceed(request)
-
-    async def handle_async(self, request: SoapRequest, ctx: DispatchContext,
-                           proceed: AsyncProceed) -> SoapResponse:
-        """Async mirror of :meth:`handle` (default: thread bridge)."""
-        return await run_sync_step_async(self.handle, request, ctx, proceed)
-
-    def __call__(self, request: SoapRequest, ctx: Any,
-                 proceed: Proceed) -> SoapResponse:
-        return self.handle(request, ctx, proceed)
+ClientInterceptor = ChainStep
+ServerHandler = ChainStep
 
 
 def run_chain(steps, request: SoapRequest, ctx: Any,
-              terminal: Proceed) -> SoapResponse:
+              terminal: Terminal) -> SoapResponse:
     """Thread *request* through *steps* (outermost first) into *terminal*.
 
-    Each step receives the continuation of everything after it; a step
-    that never calls ``proceed`` short-circuits the rest of the chain.
+    Each step's generator is advanced to its ``yield``, the yielded
+    request goes to the steps after it, and their response — or the
+    exception they raised — is sent (thrown) back in at the ``yield``.
+    A step that returns without yielding short-circuits the rest of the
+    chain; one that yields again re-enters it.
     """
     def at(index: int, req: SoapRequest) -> SoapResponse:
         if index == len(steps):
             return terminal(req)
-        return steps[index](req, ctx, lambda r: at(index + 1, r))
+        flow = steps[index].around(req, ctx)
+        try:
+            outbound = next(flow)
+            while True:
+                try:
+                    response = at(index + 1, outbound)
+                except BaseException as exc:
+                    outbound = flow.throw(exc)
+                else:
+                    outbound = flow.send(response)
+        except StopIteration as done:
+            return done.value
+        finally:
+            flow.close()
     return at(0, request)
 
 
-async def run_sync_step_async(call, request: SoapRequest, ctx: Any,
-                              proceed: AsyncProceed) -> SoapResponse:
-    """Run one sync-only chain step inside an async chain.
-
-    The step executes on a worker thread (its sleeps and blocking work
-    leave the event loop free); the ``proceed`` continuation it is
-    handed marshals back into the running loop and blocks the worker —
-    not the loop — until the rest of the chain answers.  The loop-side
-    continuation runs under the worker's :mod:`contextvars` snapshot,
-    so ambient state (deadline scope, trace context) survives the
-    double hop.
-    """
-    loop = asyncio.get_running_loop()
-
-    def sync_proceed(req: SoapRequest) -> SoapResponse:
-        snapshot = contextvars.copy_context()
-        done: concurrent.futures.Future = concurrent.futures.Future()
-
-        def start() -> None:
-            task = snapshot.run(asyncio.ensure_future, proceed(req))
-
-            def relay(finished: asyncio.Task) -> None:
-                if finished.cancelled():
-                    done.cancel()
-                elif finished.exception() is not None:
-                    done.set_exception(finished.exception())
-                else:
-                    done.set_result(finished.result())
-
-            task.add_done_callback(relay)
-
-        loop.call_soon_threadsafe(start)
-        return done.result()
-
-    return await asyncio.to_thread(call, request, ctx, sync_proceed)
-
-
 async def run_chain_async(steps, request: SoapRequest, ctx: Any,
-                          terminal: AsyncProceed) -> SoapResponse:
-    """Async twin of :func:`run_chain` with identical semantics.
+                          terminal: AsyncTerminal) -> SoapResponse:
+    """:func:`run_chain` for an event loop: the same steps, the same
+    semantics, an awaited *terminal*.
 
-    Steps exposing ``intercept_async`` / ``handle_async`` are awaited
-    natively on the event loop; a bare sync callable is bridged through
-    :func:`run_sync_step_async` so mixed chains (e.g. with a sync-only
-    chaos step) behave exactly like their sync counterparts.
+    Steps are plain generators and run on the loop, so a step that
+    blocks (a chaos delay's ``sleep``) blocks the loop for that long.
+    Nothing composes the two drivers: a chain runs under one or the
+    other from its outermost step down to its terminal.
     """
     async def at(index: int, req: SoapRequest) -> SoapResponse:
         if index == len(steps):
             return await terminal(req)
-        step = steps[index]
-
-        async def proceed(r: SoapRequest,
-                          _next: int = index + 1) -> SoapResponse:
-            return await at(_next, r)
-
-        runner = getattr(step, "intercept_async", None) \
-            or getattr(step, "handle_async", None)
-        if runner is not None:
-            return await runner(req, ctx, proceed)
-        return await run_sync_step_async(step, req, ctx, proceed)
+        flow = steps[index].around(req, ctx)
+        try:
+            outbound = next(flow)
+            while True:
+                try:
+                    response = await at(index + 1, outbound)
+                except BaseException as exc:
+                    outbound = flow.throw(exc)
+                else:
+                    outbound = flow.send(response)
+        except StopIteration as done:
+            return done.value
+        finally:
+            flow.close()
     return await at(0, request)
 
 
@@ -282,7 +261,7 @@ def chain_insert_after(steps, name: str, step) -> list:
     return out
 
 
-# -- shared helpers (formerly in repro.ws.transport) ------------------------
+# -- shared helpers ----------------------------------------------------------
 
 def stamp_trace_context(request: SoapRequest, span) -> None:
     """Inject *span*'s trace context into an unstamped request.
@@ -312,41 +291,6 @@ def apply_deadline(request: SoapRequest) -> None:
         request.deadline_s = deadline.remaining()
 
 
-def record_transport_metrics(transport: str, seconds: float,
-                             bytes_sent: int, bytes_received: int) -> None:
-    """File one send's latency + byte counts under the global registry."""
-    metrics = get_metrics()
-    metrics.histogram("ws.transport.seconds",
-                      transport=transport).observe(seconds)
-    metrics.counter("ws.transport.messages", transport=transport).inc()
-    metrics.counter("ws.transport.bytes_sent",
-                    transport=transport).inc(bytes_sent)
-    metrics.counter("ws.transport.bytes_received",
-                    transport=transport).inc(bytes_received)
-
-
-def payload_fallback(send_once, request: SoapRequest,
-                     peer: payload.PeerState,
-                     same_host: bool = False) -> SoapResponse:
-    """Externalize + send, with the transparent full-payload fallback.
-
-    First attempt goes out with by-reference params for everything the
-    peer is believed to hold (with *same_host* peers additionally
-    offered shared-memory segment refs for first-time payloads).  A
-    :class:`PayloadMissError` (the peer lost — or never had — a
-    referenced blob, or a ref was corrupted in flight) clears the peer
-    record and resends the original request fully inline, so callers
-    never observe the miss.
-    """
-    try:
-        return send_once(payload.externalize(request, peer,
-                                             same_host=same_host))
-    except PayloadMissError:
-        get_metrics().counter("ws.payload.fallbacks").inc()
-        peer.clear()
-        return send_once(payload.internalize(request))
-
-
 # -- client transport interceptors ------------------------------------------
 
 class TransportTrace(ClientInterceptor):
@@ -359,24 +303,14 @@ class TransportTrace(ClientInterceptor):
 
     name = "trace"
 
-    def intercept(self, request, ctx, proceed):
-        attrs = {"endpoint": ctx.endpoint} if ctx.endpoint else None
-        with get_tracer().span(f"send:{ctx.kind}", attrs) as span:
-            stamp_trace_context(request, span)
-            try:
-                return proceed(request)
-            finally:
-                for key, value in ctx.notes.items():
-                    span.set_attribute(key, value)
-
-    async def intercept_async(self, request, ctx, proceed):
+    def around(self, request, ctx):
         # spans live in contextvars, which are task-local: safe to open
-        # directly on the event loop
+        # under either driver
         attrs = {"endpoint": ctx.endpoint} if ctx.endpoint else None
         with get_tracer().span(f"send:{ctx.kind}", attrs) as span:
             stamp_trace_context(request, span)
             try:
-                return await proceed(request)
+                return (yield request)
             finally:
                 for key, value in ctx.notes.items():
                     span.set_attribute(key, value)
@@ -393,15 +327,19 @@ class TransportMetrics(ClientInterceptor):
 
     name = "metrics"
 
-    @staticmethod
-    def _install(ctx) -> None:
+    def around(self, request, ctx):
         start = time.perf_counter()
         metrics = get_metrics()
 
         def on_wire(bytes_sent: int, bytes_received: int) -> None:
-            record_transport_metrics(ctx.kind,
-                                     time.perf_counter() - start,
-                                     bytes_sent, bytes_received)
+            kind = ctx.kind
+            metrics.histogram("ws.transport.seconds", transport=kind
+                              ).observe(time.perf_counter() - start)
+            metrics.counter("ws.transport.messages", transport=kind).inc()
+            metrics.counter("ws.transport.bytes_sent",
+                            transport=kind).inc(bytes_sent)
+            metrics.counter("ws.transport.bytes_received",
+                            transport=kind).inc(bytes_received)
 
         def on_transport_error() -> None:
             metrics.counter("ws.transport.errors",
@@ -413,14 +351,7 @@ class TransportMetrics(ClientInterceptor):
         ctx.on_wire = on_wire
         ctx.on_transport_error = on_transport_error
         ctx.emit_counter = emit_counter
-
-    def intercept(self, request, ctx, proceed):
-        self._install(ctx)
-        return proceed(request)
-
-    async def intercept_async(self, request, ctx, proceed):
-        self._install(ctx)
-        return await proceed(request)
+        return (yield request)
 
 
 class DeadlineBudget(ClientInterceptor):
@@ -428,13 +359,9 @@ class DeadlineBudget(ClientInterceptor):
 
     name = "deadline"
 
-    def intercept(self, request, ctx, proceed):
+    def around(self, request, ctx):
         apply_deadline(request)
-        return proceed(request)
-
-    async def intercept_async(self, request, ctx, proceed):
-        apply_deadline(request)
-        return await proceed(request)
+        return (yield request)
 
 
 class GzipNegotiation(ClientInterceptor):
@@ -449,19 +376,18 @@ class GzipNegotiation(ClientInterceptor):
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
 
-    def intercept(self, request, ctx, proceed):
+    def around(self, request, ctx):
         ctx.properties["accept_gzip"] = self.enabled
-        return proceed(request)
-
-    async def intercept_async(self, request, ctx, proceed):
-        ctx.properties["accept_gzip"] = self.enabled
-        return await proceed(request)
+        return (yield request)
 
 
 class PayloadRefs(ClientInterceptor):
     """Substitute by-reference params for payloads the peer already holds.
 
-    Owns the per-connection :class:`~repro.ws.payload.PeerState`.  With
+    Owns the per-connection :class:`~repro.ws.payload.PeerState`.  The
+    first attempt goes out with by-reference params for everything the
+    peer is believed to hold (same-host peers are additionally offered
+    shared-memory segment refs for first-time payloads).  With
     ``resend_on_miss=True`` (HTTP / in-process) a miss raised anywhere
     below — including from the far side of the wire — clears the peer
     record and transparently resends fully inline.  With ``False`` (the
@@ -476,38 +402,17 @@ class PayloadRefs(ClientInterceptor):
         self.peer = payload.PeerState()
         self.resend_on_miss = resend_on_miss
 
-    def intercept(self, request, ctx, proceed):
-        same_host = bool(ctx.get("same_host"))
-        if self.resend_on_miss:
-            return payload_fallback(proceed, request, self.peer,
-                                    same_host=same_host)
+    def around(self, request, ctx):
         try:
-            outbound = payload.externalize(request, self.peer,
-                                           same_host=same_host)
+            outbound = payload.externalize(
+                request, self.peer, same_host=bool(ctx.get("same_host")))
+            if self.resend_on_miss:
+                return (yield outbound)
         except PayloadMissError:
             get_metrics().counter("ws.payload.fallbacks").inc()
             self.peer.clear()
             outbound = payload.internalize(request)
-        return proceed(outbound)
-
-    async def intercept_async(self, request, ctx, proceed):
-        same_host = bool(ctx.get("same_host"))
-        if self.resend_on_miss:
-            try:
-                return await proceed(payload.externalize(
-                    request, self.peer, same_host=same_host))
-            except PayloadMissError:
-                get_metrics().counter("ws.payload.fallbacks").inc()
-                self.peer.clear()
-                return await proceed(payload.internalize(request))
-        try:
-            outbound = payload.externalize(request, self.peer,
-                                           same_host=same_host)
-        except PayloadMissError:
-            get_metrics().counter("ws.payload.fallbacks").inc()
-            self.peer.clear()
-            outbound = payload.internalize(request)
-        return await proceed(outbound)
+        return (yield outbound)
 
 
 def default_transport_interceptors(*, compress: bool | None = None,
@@ -532,20 +437,12 @@ class ProxyDeadline(ClientInterceptor):
 
     name = "deadline"
 
-    def intercept(self, request, ctx, proceed):
-        self._stamp(request, ctx)
-        return proceed(request)
-
-    async def intercept_async(self, request, ctx, proceed):
-        self._stamp(request, ctx)
-        return await proceed(request)
-
-    @staticmethod
-    def _stamp(request, ctx) -> None:
+    def around(self, request, ctx):
         deadline = current_deadline()
         if deadline is not None:
             deadline.check(f"{ctx.service}.{ctx.operation}")
             request.deadline_s = deadline.remaining()
+        return (yield request)
 
 
 class BreakerGate(ClientInterceptor):
@@ -562,12 +459,12 @@ class BreakerGate(ClientInterceptor):
     def __init__(self, breaker=None):
         self.breaker = breaker
 
-    def intercept(self, request, ctx, proceed):
+    def around(self, request, ctx):
         if self.breaker is None:
-            return proceed(request)
+            return (yield request)
         self.breaker.ensure_closed(f"{ctx.service}.{ctx.operation}")
         try:
-            response = proceed(request)
+            response = yield request
         except (TransportError, OSError):
             self.breaker.record_failure()
             raise
@@ -576,23 +473,6 @@ class BreakerGate(ClientInterceptor):
         except Exception:
             # the endpoint answered (a fault is still an answer — an
             # admission shed included: an overloaded endpoint is alive)
-            self.breaker.record_success()
-            raise
-        self.breaker.record_success()
-        return response
-
-    async def intercept_async(self, request, ctx, proceed):
-        if self.breaker is None:
-            return await proceed(request)
-        self.breaker.ensure_closed(f"{ctx.service}.{ctx.operation}")
-        try:
-            response = await proceed(request)
-        except (TransportError, OSError):
-            self.breaker.record_failure()
-            raise
-        except DeadlineExceeded:
-            raise
-        except Exception:
             self.breaker.record_success()
             raise
         self.breaker.record_success()
@@ -608,23 +488,14 @@ class CallTrace(ClientInterceptor):
 
     name = "trace"
 
-    def intercept(self, request, ctx, proceed):
+    def around(self, request, ctx):
         with get_tracer().span(
                 f"soap:{ctx.service}.{ctx.operation}") as span:
             batch = soap.batch_size_of(request)
             if batch is not None:
                 span.set_attribute("batch_size", batch)
             stamp_trace_context(request, span)
-            return proceed(request)
-
-    async def intercept_async(self, request, ctx, proceed):
-        with get_tracer().span(
-                f"soap:{ctx.service}.{ctx.operation}") as span:
-            batch = soap.batch_size_of(request)
-            if batch is not None:
-                span.set_attribute("batch_size", batch)
-            stamp_trace_context(request, span)
-            return await proceed(request)
+            return (yield request)
 
 
 class CallMetrics(ClientInterceptor):
@@ -632,27 +503,17 @@ class CallMetrics(ClientInterceptor):
 
     name = "metrics"
 
-    def intercept(self, request, ctx, proceed):
+    def around(self, request, ctx):
         start = time.perf_counter()
         try:
-            return proceed(request)
+            return (yield request)
         finally:
-            self._file(ctx, time.perf_counter() - start)
-
-    async def intercept_async(self, request, ctx, proceed):
-        start = time.perf_counter()
-        try:
-            return await proceed(request)
-        finally:
-            self._file(ctx, time.perf_counter() - start)
-
-    @staticmethod
-    def _file(ctx, elapsed: float) -> None:
-        metrics = get_metrics()
-        metrics.counter("ws.client.calls", service=ctx.service,
-                        operation=ctx.operation).inc()
-        metrics.histogram("ws.client.seconds", service=ctx.service,
-                          operation=ctx.operation).observe(elapsed)
+            elapsed = time.perf_counter() - start
+            metrics = get_metrics()
+            metrics.counter("ws.client.calls", service=ctx.service,
+                            operation=ctx.operation).inc()
+            metrics.histogram("ws.client.seconds", service=ctx.service,
+                              operation=ctx.operation).observe(elapsed)
 
 
 def default_proxy_interceptors(breaker=None) -> list[ClientInterceptor]:
@@ -703,7 +564,7 @@ class DispatchTrace(ServerHandler):
 
     name = "trace"
 
-    def handle(self, request, ctx, proceed):
+    def around(self, request, ctx):
         tracer = get_tracer()
         parent = tracer.current_span()
         if parent is None and request.trace_id:
@@ -712,7 +573,7 @@ class DispatchTrace(ServerHandler):
         with tracer.span(name, {"container": ctx.container.name},
                          parent=parent) as span:
             ctx.span = span
-            return proceed(request)
+            return (yield request)
 
 
 class ResolveDeployment(ServerHandler):
@@ -720,11 +581,11 @@ class ResolveDeployment(ServerHandler):
 
     name = "resolve"
 
-    def handle(self, request, ctx, proceed):
+    def around(self, request, ctx):
         ctx.deployment = ctx.container._deployment(request.service)
         if ctx.span is not None:
             ctx.span.set_attribute("lifecycle", ctx.deployment.lifecycle)
-        return proceed(request)
+        return (yield request)
 
 
 class DeadlineAnchor(ServerHandler):
@@ -736,7 +597,7 @@ class DeadlineAnchor(ServerHandler):
 
     name = "deadline"
 
-    def handle(self, request, ctx, proceed):
+    def around(self, request, ctx):
         with deadline_scope(request.deadline_s) as deadline:
             if deadline is not None and deadline.expired:
                 _count_server_fault(request)
@@ -747,7 +608,7 @@ class DeadlineAnchor(ServerHandler):
                     DEADLINE_FAULTCODE,
                     f"time budget exhausted before dispatching "
                     f"{request.service}.{request.operation}")
-            return proceed(request)
+            return (yield request)
 
 
 class MulticallExpand(ServerHandler):
@@ -765,9 +626,9 @@ class MulticallExpand(ServerHandler):
 
     name = "multicall"
 
-    def handle(self, request, ctx, proceed):
+    def around(self, request, ctx):
         if not soap.is_multicall(request):
-            return proceed(request)
+            return (yield request)
         calls = soap.calls_of(request)
         metrics = get_metrics()
         metrics.histogram("ws.batch.size",
@@ -796,7 +657,7 @@ class MulticallExpand(ServerHandler):
                 continue
             try:
                 outcomes.append(
-                    soap.CallOutcome(result=proceed(item).result))
+                    soap.CallOutcome(result=(yield item).result))
             except SoapFault as fault:
                 outcomes.append(soap.CallOutcome(error=fault))
         return SoapResponse(service=request.service,
@@ -808,11 +669,11 @@ class InvocationStats(ServerHandler):
 
     name = "stats"
 
-    def handle(self, request, ctx, proceed):
+    def around(self, request, ctx):
         dep = ctx.deployment
         with dep.lock:
             dep.stats.invocations += 1
-        return proceed(request)
+        return (yield request)
 
 
 class ResultCache(ServerHandler):
@@ -825,7 +686,7 @@ class ResultCache(ServerHandler):
 
     name = "cache"
 
-    def handle(self, request, ctx, proceed):
+    def around(self, request, ctx):
         dep = ctx.deployment
         info = dep.definition.operations.get(request.operation)
         cache_key = None
@@ -847,7 +708,7 @@ class ResultCache(ServerHandler):
                                     result=copy.deepcopy(result))
             metrics.counter("ws.cache.result.misses",
                             service=request.service).inc()
-        response = proceed(request)
+        response = yield request
         if cache_key is not None:
             # estimate the dispatch cost a future hit avoids by the
             # canonical size of the answer
@@ -871,30 +732,27 @@ class Lifecycle(ServerHandler):
 
     name = "lifecycle"
 
-    def handle(self, request, ctx, proceed):
+    def around(self, request, ctx):
         dep = ctx.deployment
-        if dep.lifecycle == "serialize":
-            with dep.lock:
-                return self._cycle(dep, request, ctx, proceed)
-        return self._cycle(dep, request, ctx, proceed)
-
-    def _cycle(self, dep, request, ctx, proceed):
         container = ctx.container
-        with dep.lock:  # re-entrant: already held in serialize lifecycle
-            instance = container._acquire(dep)
-        ctx.properties["instance"] = instance
-        start = time.perf_counter()
-        try:
-            return proceed(request)
-        finally:
-            elapsed = time.perf_counter() - start
-            with dep.lock:
-                dep.stats.dispatch_seconds += elapsed
-            get_metrics().histogram(
-                "ws.server.dispatch.seconds",
-                service=request.service,
-                operation=request.operation).observe(elapsed)
-            container._release(dep, instance)
+        whole_call = dep.lock if dep.lifecycle == "serialize" \
+            else contextlib.nullcontext()
+        with whole_call:
+            with dep.lock:  # re-entrant: already held when serializing
+                instance = container._acquire(dep)
+            ctx.properties["instance"] = instance
+            start = time.perf_counter()
+            try:
+                return (yield request)
+            finally:
+                elapsed = time.perf_counter() - start
+                with dep.lock:
+                    dep.stats.dispatch_seconds += elapsed
+                get_metrics().histogram(
+                    "ws.server.dispatch.seconds",
+                    service=request.service,
+                    operation=request.operation).observe(elapsed)
+                container._release(dep, instance)
 
 
 class FaultMapper(ServerHandler):
@@ -907,9 +765,9 @@ class FaultMapper(ServerHandler):
 
     name = "faults"
 
-    def handle(self, request, ctx, proceed):
+    def around(self, request, ctx):
         try:
-            return proceed(request)
+            return (yield request)
         except SoapFault:
             self._record(request, ctx)
             raise
@@ -945,37 +803,149 @@ def default_server_handlers() -> list[ServerHandler]:
 
 # -- server HTTP gateway -----------------------------------------------------
 
-class HttpGateway:
-    """The policy half of SOAP-over-HTTP hosting.
+#: Largest request body a front will read.  Far above the biggest frame
+#: the stack ships (bulk dataset envelopes are a few MB) and far below
+#: what an unvalidated ``Content-Length`` could ask a server to buffer.
+MAX_BODY_BYTES = 256 * 1024 * 1024
 
-    Everything between "bytes arrived on a POST" and "bytes to answer
-    with" lives here — decompression, envelope decode, front-door
-    deadline shedding, the ``http:POST`` span, fault mapping, response
+_TEXT = "text/plain; charset=utf-8"
+_XML = "text/xml; charset=utf-8"
+
+
+class HttpResponse(NamedTuple):
+    """One answer for a byte loop to frame: it adds only
+    ``Content-Length`` and ``Connection``."""
+
+    status: int
+    headers: dict[str, str]
+    body: bytes
+
+
+def http_response(status: int, body: bytes, content_type: str = _XML,
+                  **extra: str | None) -> HttpResponse:
+    """An :class:`HttpResponse` carrying the standard header set.
+
+    *extra* headers are keyed by Python name (``content_encoding`` →
+    ``Content-Encoding``); ``None`` values are dropped.
+    """
+    headers = {"Content-Type": content_type,
+               # capability advertisement: clients upgrade dataset
+               # arguments from ARFF text to binary columnar frames
+               "X-Repro-Codecs": "columnar",
+               # same-host advertisement: a client seeing its own boot
+               # id may send shared-memory payload refs
+               "X-Repro-Boot": shm.boot_id()}
+    headers.update((name.replace("_", "-").title(), value)
+                   for name, value in extra.items() if value is not None)
+    return HttpResponse(status, headers, body)
+
+
+class HttpReject(Exception):
+    """A request refused on its head alone; the body was not read, so
+    the byte loop answers :attr:`response` and closes the connection."""
+
+    def __init__(self, response: HttpResponse):
+        super().__init__(response.status)
+        self.response = response
+
+
+def service_of(target: str) -> str | None:
+    """The ``<name>`` of a ``/services/<name>`` request target."""
+    parts = [p for p in urlparse(target).path.split("/") if p]
+    if len(parts) == 2 and parts[0] == "services":
+        return parts[1]
+    return None
+
+
+class HttpGateway:
+    """The one request handler behind every HTTP front.
+
+    Everything between "a request head and body arrived" and "status,
+    headers and bytes to answer with" lives here — routing, the service
+    index, ``?wsdl``, 404/405, ``Content-Length`` validation, and for a
+    SOAP POST: decompression, envelope decode, front-door deadline
+    shedding, the ``http:POST`` span, fault mapping, response
     compression and the ``ws.http.*`` metrics — leaving
-    :mod:`repro.ws.httpd` as pure HTTP mechanics.
+    :mod:`repro.ws.httpd`, :mod:`repro.ws.aserve` and the mesh front as
+    byte loops around :meth:`body_length` and :meth:`handle`.
+
+    *container* is whatever answers behind the front: a
+    :class:`~repro.ws.container.ServiceContainer` or the mesh's
+    ``MeshIngress``.  The gateway calls ``invoke(request)``,
+    ``services()`` and ``wsdl_document(name, address)`` on it.
+    :attr:`base_url` is set by the hosting server once it is bound;
+    :attr:`pages` maps extra ``GET`` paths to callables returning
+    ``(body, content_type)``.
     """
 
     def __init__(self, container, compress: bool = True):
         self.container = container
         self.compress = compress
+        self.base_url = ""
+        self.pages: dict[str, Callable[[], tuple[bytes, str]]] = {}
 
-    def post(self, name: str, raw: bytes,
-             content_encoding: str | None = None,
-             accept_encoding: str | None = None
-             ) -> tuple[int, bytes, str, str | None]:
-        """Serve one ``POST /services/<name>`` body.
+    def body_length(self, target: str, headers: dict[str, str]) -> int:
+        """The validated ``Content-Length`` of a request (*headers* keyed
+        lowercase), checked before any body byte is read or admitted.
 
-        Returns ``(status, body, content_type, response_encoding)``.
+        Raises :class:`HttpReject` — 400 for a non-numeric or negative
+        value, 413 above :data:`MAX_BODY_BYTES`.
         """
+        raw = headers.get("content-length", "0").strip()
+        if raw.isdigit() and int(raw) <= MAX_BODY_BYTES:
+            return int(raw)
+        status, problem = (413, "exceeds the body limit") if raw.isdigit() \
+            else (400, "is not a byte count")
+        get_metrics().counter("ws.http.requests",
+                              service=service_of(target) or "",
+                              status=status).inc()
+        raise HttpReject(http_response(
+            status, f"Content-Length {raw!r} {problem}".encode(), _TEXT,
+            connection="close"))
+
+    def handle(self, method: str, target: str, headers: dict[str, str],
+               body: bytes) -> HttpResponse:
+        """Answer one request (*headers* keyed lowercase)."""
+        name = service_of(target)
+        if method == "GET":
+            return self._get(urlparse(target), name)
+        if method != "POST":
+            return http_response(405, b"method not allowed", _TEXT)
+        if name is None:
+            return http_response(404, b"not found", _TEXT)
+        return self._post(name, body, headers)
+
+    def _get(self, parsed, name: str | None) -> HttpResponse:
+        path = parsed.path.rstrip("/")
+        if path == "/services":
+            return http_response(
+                200, "\n".join(self.container.services()).encode(), _TEXT)
+        if path in self.pages:
+            body, content_type = self.pages[path]()
+            return http_response(200, body, content_type)
+        if name is None or "wsdl" not in parsed.query.lower():
+            return http_response(404, b"not found", _TEXT)
+        try:
+            document = self.container.wsdl_document(
+                name, f"{self.base_url}/services/{name}")
+        except (ServiceError, SoapFault) as exc:
+            return http_response(404, str(exc).encode(), _TEXT)
+        except TransportError as exc:
+            return http_response(502, str(exc).encode(), _TEXT)
+        return http_response(200, document.encode())
+
+    def _post(self, name: str, raw: bytes,
+              headers: dict[str, str]) -> HttpResponse:
+        """Serve one ``POST /services/<name>`` body."""
         start = time.perf_counter()
-        status = 200
-        content_type = "text/xml; charset=utf-8"
+        status = 500
         try:
             try:
-                raw = payload.decompress(raw, content_encoding)
+                raw = payload.decompress(raw,
+                                         headers.get("content-encoding"))
             except TransportError as exc:
                 status = 400
-                return 400, str(exc).encode(), "text/plain", None
+                return http_response(400, str(exc).encode(), "text/plain")
             request = soap.decode_request(raw)
             request.service = name  # the URL wins over the envelope
             if request.deadline_s is not None and request.deadline_s <= 0:
@@ -997,40 +967,33 @@ class HttpGateway:
                 response = self.container.invoke(request)
                 body = soap.encode_response(response)
                 span.set_attribute("response_bytes", len(body))
-                span.set_attribute("http_status", status)
+                span.set_attribute("http_status", 200)
             encoding = None
-            if self.compress and "gzip" in (accept_encoding or "").lower():
+            if self.compress and \
+                    "gzip" in headers.get("accept-encoding", "").lower():
                 body, encoding = payload.maybe_compress(body)
-            return 200, body, content_type, encoding
+            status = 200
+            return http_response(200, body, content_encoding=encoding)
         except PayloadMissError as exc:
             # the client referenced a blob this process does not hold:
             # answer with the dedicated fault so it resends inline
-            status = 500
-            return 500, soap.encode_fault(SoapFault(
-                payload.MISS_FAULTCODE, str(exc),
-                detail=exc.digest)), content_type, None
-        except SoapFault as fault:
-            status = 500
-            return 500, soap.encode_fault(fault), content_type, None
+            fault = SoapFault(payload.MISS_FAULTCODE, str(exc),
+                              detail=exc.digest)
+        except SoapFault as exc:
+            fault = exc
         except OverloadedError as exc:
             # admission control shed the call: answer 503 with the
             # dedicated fault so clients back off instead of retrying
             status = 503
-            return 503, soap.encode_fault(
-                soap.fault_for(exc)), content_type, None
+            fault = soap.fault_for(exc)
         except DeadlineExceeded as exc:
-            status = 500
-            return 500, soap.encode_fault(
-                SoapFault(DEADLINE_FAULTCODE,
-                          str(exc))), content_type, None
+            fault = SoapFault(DEADLINE_FAULTCODE, str(exc))
         except ServiceError as exc:
-            status = 500
-            return 500, soap.encode_fault(
-                SoapFault("soapenv:Server",
-                          str(exc))), content_type, None
+            fault = SoapFault("soapenv:Server", str(exc))
         finally:
             metrics = get_metrics()
             metrics.counter("ws.http.requests", service=name,
                             status=status).inc()
             metrics.histogram("ws.http.seconds", service=name).observe(
                 time.perf_counter() - start)
+        return http_response(status, soap.encode_fault(fault))

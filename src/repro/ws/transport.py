@@ -72,16 +72,6 @@ class Transport:
         """Deliver one SOAP request; returns the SOAP response."""
         raise NotImplementedError
 
-    async def send_async(self, request: SoapRequest) -> SoapResponse:
-        """Deliver one SOAP request from an event loop.
-
-        Default: run the sync :meth:`send` on a worker thread, so any
-        transport is awaitable; :class:`ChainedTransport` overrides
-        this with a chain-running version and :class:`HttpTransport`
-        moves bytes natively on asyncio streams.
-        """
-        return await asyncio.to_thread(self.send, request)
-
     def speaks(self, codec: str) -> bool:
         """True when the peer behind this transport is known to accept
         the named wire codec (e.g. ``"columnar"``).
@@ -122,6 +112,8 @@ class ChainedTransport(Transport):
     """
 
     kind = "chained"
+    #: Tagged on the chain's ``send:*`` spans ("" = no endpoint to name).
+    endpoint = ""
 
     def __init__(self, interceptors=None):
         self.interceptors = list(interceptors) if interceptors is not None \
@@ -131,54 +123,23 @@ class ChainedTransport(Transport):
         """The chain installed when no explicit one is passed."""
         return pipeline.default_transport_interceptors()
 
-    def endpoint_label(self) -> str:
-        """Endpoint attribute for the chain's ``send:*`` span ("" = none)."""
-        return ""
-
-    def send(self, request: SoapRequest) -> SoapResponse:
-        """Deliver one SOAP request; returns the SOAP response."""
-        ctx = CallContext(kind=self.kind, endpoint=self.endpoint_label(),
+    def _context(self, request: SoapRequest) -> CallContext:
+        """The per-call context one send's chain and mover share."""
+        ctx = CallContext(kind=self.kind, endpoint=self.endpoint,
                           service=request.service,
                           operation=request.operation)
         ctx.properties["same_host"] = self.same_host()
+        return ctx
+
+    def send(self, request: SoapRequest) -> SoapResponse:
+        """Deliver one SOAP request; returns the SOAP response."""
+        ctx = self._context(request)
         return pipeline.run_chain(
             self.interceptors, request, ctx,
             lambda outbound: self._exchange(outbound, ctx))
 
-    async def send_async(self, request: SoapRequest) -> SoapResponse:
-        """Deliver one SOAP request from an event loop.
-
-        The same interceptor chain runs (async mirrors where steps
-        provide them, thread-bridged otherwise) into
-        :meth:`_exchange_async`, so sync and async callers get
-        identical policy and telemetry.
-        """
-        ctx = CallContext(kind=self.kind, endpoint=self.endpoint_label(),
-                          service=request.service,
-                          operation=request.operation)
-        ctx.properties["same_host"] = self.same_host()
-
-        async def terminal(outbound: SoapRequest) -> SoapResponse:
-            return await self._exchange_async(outbound, ctx)
-
-        return await pipeline.run_chain_async(
-            self.interceptors, request, ctx, terminal)
-
-    async def _exchange_async(self, request: SoapRequest,
-                              ctx: CallContext = None) -> SoapResponse:
-        """Async byte move; default runs :meth:`_exchange` off-loop."""
-        return await asyncio.to_thread(self._exchange, request, ctx)
-
-    def _context_of(self, ctx) -> CallContext:
-        """Normalise *ctx* for direct ``_exchange`` calls (tests poke the
-        mover with legacy ``(request, span, start)`` arguments); a real
-        per-call context from :meth:`send` passes through unchanged."""
-        if isinstance(ctx, CallContext):
-            return ctx
-        return CallContext(kind=self.kind, endpoint=self.endpoint_label())
-
-    def _exchange(self, request: SoapRequest, ctx: CallContext = None,
-                  *_legacy) -> SoapResponse:
+    def _exchange(self, request: SoapRequest,
+                  ctx: CallContext) -> SoapResponse:
         raise NotImplementedError
 
 
@@ -197,9 +158,8 @@ class InProcessTransport(ChainedTransport):
         """Both ends are this process, so every local codec works."""
         return codec == "columnar"
 
-    def _exchange(self, request: SoapRequest, ctx: CallContext = None,
-                  *_legacy) -> SoapResponse:
-        ctx = self._context_of(ctx)
+    def _exchange(self, request: SoapRequest,
+                  ctx: CallContext) -> SoapResponse:
         wire = soap.encode_request(request)
         self.bytes_sent += len(wire)
         decoded = soap.decode_request(wire)  # resolves payload refs
@@ -283,10 +243,6 @@ class HttpTransport(ChainedTransport):
         """The standard HTTP chain, with the gzip negotiation step."""
         return pipeline.default_transport_interceptors(
             compress=self.compress)
-
-    def endpoint_label(self) -> str:
-        """This transport's URL, tagged on its ``send:http`` spans."""
-        return self.endpoint
 
     #: The pooled keep-alive connection was closed by the server between
     #: exchanges; a fresh connection deserves one silent retry.
@@ -387,9 +343,8 @@ class HttpTransport(ChainedTransport):
         body = payload.decompress(body, content_encoding)
         return soap.decode_response(body)  # raises SoapFault on faults
 
-    def _exchange(self, request: SoapRequest, ctx: CallContext = None,
-                  *_legacy) -> SoapResponse:
-        ctx = self._context_of(ctx)
+    def _exchange(self, request: SoapRequest,
+                  ctx: CallContext) -> SoapResponse:
         wire, headers = self._prepare(request, ctx)
         self.bytes_sent += len(wire)
         conn, reused = self._checkout()
@@ -485,15 +440,25 @@ class HttpTransport(ChainedTransport):
         body = await reader.readexactly(int(length))
         return status, response_headers, body
 
+    async def send_async(self, request: SoapRequest) -> SoapResponse:
+        """:meth:`send` from an event loop: the same interceptor chain
+        under the async driver, into :meth:`_exchange_async`."""
+        ctx = self._context(request)
+
+        async def terminal(outbound: SoapRequest) -> SoapResponse:
+            return await self._exchange_async(outbound, ctx)
+
+        return await pipeline.run_chain_async(
+            self.interceptors, request, ctx, terminal)
+
     async def _exchange_async(self, request: SoapRequest,
-                              ctx: CallContext = None) -> SoapResponse:
+                              ctx: CallContext) -> SoapResponse:
         """The sync exchange's semantics on asyncio streams.
 
         Same keep-alive pooling (per-loop), same single stale retry for
         pooled connections, same deadline-bounded socket wait — but no
         thread is held while the server works.
         """
-        ctx = self._context_of(ctx)
         wire, headers = self._prepare(request, ctx)
         self.bytes_sent += len(wire)
         effective = self._deadline_timeout(request)
@@ -685,9 +650,8 @@ class SimulatedTransport(ChainedTransport):
             time.sleep(cost)
         return n_bytes
 
-    def _exchange(self, request: SoapRequest, ctx: CallContext = None,
-                  *_legacy) -> SoapResponse:
-        ctx = self._context_of(ctx)
+    def _exchange(self, request: SoapRequest,
+                  ctx: CallContext) -> SoapResponse:
         cost_before = self.virtual_seconds
         bytes_before = self.bytes_on_wire
         wire = soap.encode_request(request)
@@ -745,10 +709,3 @@ class FailingTransport(Transport):
 
     def close(self) -> None:
         self.inner.close()
-
-
-# Backwards-compatible re-exports: these helpers lived here before the
-# handler-chain refactor moved them into the policy layer.
-from repro.ws.pipeline import (apply_deadline, payload_fallback,  # noqa: E402,F401
-                               record_transport_metrics,
-                               stamp_trace_context)

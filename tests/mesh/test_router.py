@@ -7,9 +7,9 @@ from repro.errors import (DeadlineExceeded, OverloadedError,
                           TransportError)
 from repro.ws.mesh.endpoints import MeshEndpoint
 from repro.ws.mesh.profile import ERROR_PENALTY_S, ProfileBook
-from repro.ws.mesh.router import (AdaptivePolicy, HashPolicy, MeshRoute,
-                                  MeshRouter, RoundRobinPolicy,
-                                  make_policy)
+from repro.ws.mesh.gateway import MeshIngress
+from repro.ws.mesh.router import (AdaptivePolicy, HashPolicy, MeshRouter,
+                                  RoundRobinPolicy, make_policy)
 from repro.ws.registry import HEALTH_DOWN, HEALTH_UP
 from repro.ws.soap import SoapFault, SoapRequest, SoapResponse
 
@@ -199,15 +199,12 @@ class TestRouterWalk:
         with pytest.raises(TransportError, match="second"):
             router.send(REQ)
 
-    def test_mesh_route_is_a_terminal_chain_step(self):
-        router, _, _ = make_router({"a": ["A"]})
-        step = MeshRoute(router)
-
-        def explode(request):
-            raise AssertionError("proceed must never be called")
-
-        response = step.intercept(REQ, None, explode)
-        assert response.result == "A"
+    def test_router_send_is_the_ingress_chain_terminal(self):
+        router, discovery, _ = make_router({"a": ["A"]})
+        ingress = MeshIngress(router, discovery)
+        assert [step.name for step in ingress.chain] == \
+            ["deadline", "trace", "metrics"]
+        assert ingress.invoke(REQ).result == "A"
 
 
 class TestProfiles:

@@ -33,7 +33,7 @@ def test_expected_jobs_present(workflow):
                                      "bench-smoke", "serving-load",
                                      "experiment-resume",
                                      "columnar-bench", "mesh-drill",
-                                     "ipc-bench"}
+                                     "ipc-bench", "ledger"}
 
 
 def test_concurrency_cancels_superseded_runs(workflow):
@@ -74,6 +74,14 @@ def steps_text(job):
 def test_tier1_suite_runs_in_matrix_job(workflow):
     text = steps_text(workflow["jobs"]["test"])
     assert "PYTHONPATH=src python -m pytest -x -q" in text
+
+
+def test_ledger_suite_runs_in_ci(workflow):
+    """Nothing else in CI imports ``ledger/``: without this job a rename
+    under ``src/`` that breaks the benchmark is found only by the
+    benchmark itself."""
+    assert "python -m pytest ledger/tests -q" in \
+        steps_text(workflow["jobs"]["ledger"])
 
 
 def test_lint_job_compiles_and_ruffs(workflow):

@@ -13,6 +13,7 @@ from repro.clock import FakeClock
 from repro.errors import OverloadedError
 from repro.ws.admission import (DEFAULT_RETRY_HINT_S, AdmissionController,
                                 AdmissionHandler, TokenBucket)
+from repro.ws.pipeline import run_chain
 
 
 class TestTokenBucket:
@@ -260,7 +261,7 @@ class TestHandlerStep:
             seen["inflight"] = ctl.inflight
             return "ok"
 
-        assert handler(Request(), None, proceed) == "ok"
+        assert run_chain([handler], Request(), None, proceed) == "ok"
         assert seen["inflight"] == 1    # slot held across the dispatch
         assert ctl.inflight == 0        # and returned afterwards
 
@@ -274,4 +275,4 @@ class TestHandlerStep:
 
         with ctl.admit():
             with pytest.raises(OverloadedError):
-                handler(Request(), None, lambda r: "never")
+                run_chain([handler], Request(), None, lambda r: "never")

@@ -1,12 +1,21 @@
 """Failure injection: hostile/malformed traffic against the HTTP host and
 concurrent access to shared containers."""
 
+import contextlib
 import http.client
+import socket
 import threading
+from http import HTTPStatus
 
 import pytest
 
-from repro.ws import ServiceContainer, SoapHttpServer, SoapRequest
+from repro import obs
+from repro.ws import (AdmissionController, AsyncSoapHttpServer,
+                      ServiceContainer, SoapHttpServer, SoapRequest,
+                      UDDIRegistry)
+from repro.ws.mesh import (MeshGateway, MeshRouter, RegistryEndpoints,
+                           make_policy)
+from repro.ws.pipeline import MAX_BODY_BYTES
 from repro.ws.service import operation
 
 
@@ -88,6 +97,82 @@ class TestHostileTraffic:
         proxy = ServiceProxy.from_wsdl_url(server.wsdl_url("Slowish"))
         assert isinstance(proxy.accumulate(amount=0), int)
         proxy.close()
+
+
+@pytest.fixture(params=["httpd", "aserve", "mesh"])
+def front(request):
+    """The same container behind each of the three HTTP fronts (the
+    asyncio one with one-slot front-door admission)."""
+    container = ServiceContainer()
+    container.deploy(Slowish, "Slowish")
+    if request.param == "httpd":
+        with SoapHttpServer(container) as srv:
+            yield srv
+    elif request.param == "aserve":
+        admission = AdmissionController(max_concurrent=1, max_queue=0)
+        with AsyncSoapHttpServer(container, admission=admission) as srv:
+            yield srv
+    else:
+        with SoapHttpServer(container) as backing:
+            registry = UDDIRegistry()
+            registry.publish("Slowish", backing.wsdl_url("Slowish"))
+            discovery = RegistryEndpoints(registry)
+            router = MeshRouter(discovery, make_policy("static"))
+            with MeshGateway(router, discovery) as gateway:
+                yield gateway
+
+
+def raw_exchange(front, head: str, body: bytes = b"") -> tuple[str, bytes]:
+    """Send hand-written bytes; returns (status line, rest) once the
+    server has hung up or answered in full."""
+    with socket.create_connection(("127.0.0.1", front.port),
+                                  timeout=5) as sock:
+        sock.sendall(head.encode("latin-1") + b"\r\n\r\n" + body)
+        received = b""
+        while b"\r\n\r\n" not in received:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    status_line, _, rest = received.partition(b"\r\n")
+    return status_line.decode("latin-1"), rest
+
+
+class TestOneHandlerThreeFronts:
+    """Every front answers a bad head the same way, from one handler."""
+
+    @pytest.mark.parametrize("value, status", [
+        ("banana", 400), ("-5", 400), ("", 400),
+        (str(MAX_BODY_BYTES + 1), 413)])
+    def test_bad_content_length_is_answered_not_dropped(self, front,
+                                                        value, status):
+        # with the front door's only slot taken, anything but a 503
+        # was answered before admission
+        admission = getattr(front, "admission", None)
+        with admission.admit() if admission else contextlib.nullcontext():
+            status_line, rest = raw_exchange(
+                front, "POST /services/Slowish HTTP/1.1\r\nHost: x\r\n"
+                       f"Content-Length: {value}", b"<x/>")
+        assert status_line == \
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}"
+        assert b"connection: close" in rest.lower()
+        assert obs.get_metrics().counter(
+            "ws.http.requests", service="Slowish",
+            status=status).value == 1
+
+    def test_reason_phrase_matches_the_status(self, front):
+        """A bad-gzip body is a 400 — and says so on the status line."""
+        status_line, _ = raw_exchange(
+            front, "POST /services/Slowish HTTP/1.1\r\nHost: x\r\n"
+                   "Content-Encoding: gzip\r\nConnection: close\r\n"
+                   "Content-Length: 8", b"not gzip")
+        assert status_line == "HTTP/1.1 400 Bad Request"
+
+    def test_unsupported_method_is_405(self, front):
+        status_line, _ = raw_exchange(
+            front, "PUT /services/Slowish HTTP/1.1\r\nHost: x\r\n"
+                   "Connection: close\r\nContent-Length: 0")
+        assert status_line == "HTTP/1.1 405 Method Not Allowed"
 
 
 class TestConcurrency:

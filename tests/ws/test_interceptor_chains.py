@@ -7,6 +7,9 @@ out (e.g. the chaos interceptor) restores the unwrapped behaviour —
 byte-for-byte on the wire.
 """
 
+import asyncio
+import inspect
+
 from repro.chaos import ChaosController, ChaosInterceptor
 from repro.ws import soap
 from repro.ws.container import ServiceContainer
@@ -14,7 +17,8 @@ from repro.ws.pipeline import (ClientInterceptor, chain_insert_after,
                                chain_insert_before, chain_names,
                                chain_without, default_proxy_interceptors,
                                default_server_handlers,
-                               default_transport_interceptors)
+                               default_transport_interceptors, run_chain,
+                               run_chain_async)
 from repro.ws.service import operation
 from repro.ws.soap import SoapFault
 from repro.ws.transport import InProcessTransport
@@ -92,9 +96,9 @@ class TestUserInterceptors:
         class Decorate(ClientInterceptor):
             name = "decorate"
 
-            def intercept(self, request, ctx, proceed):
+            def around(self, request, ctx):
                 seen.append(f"{request.service}.{request.operation}")
-                response = proceed(request)
+                response = yield request
                 response.result = f"<<{response.result}>>"
                 return response
 
@@ -105,12 +109,13 @@ class TestUserInterceptors:
         assert seen == ["Echo.shout"]
 
     def test_user_step_can_short_circuit(self, tmp_path):
-        """Not calling ``proceed`` vetoes the call entirely."""
+        """Raising in the request flow vetoes the call entirely."""
         class Veto(ClientInterceptor):
             name = "veto"
 
-            def intercept(self, request, ctx, proceed):
+            def around(self, request, ctx):
                 raise SoapFault("soapenv:Client", "vetoed by policy")
+                yield request
 
         _, _, proxy = _stack(tmp_path)
         proxy.interceptors = [Veto()] + proxy.interceptors
@@ -127,9 +132,9 @@ class _WireTap(ClientInterceptor):
         self.requests: list[bytes] = []
         self.responses: list[bytes] = []
 
-    def intercept(self, request, ctx, proceed):
+    def around(self, request, ctx):
         self.requests.append(soap.encode_request(request))
-        response = proceed(request)
+        response = yield request
         self.responses.append(soap.encode_response(response))
         return response
 
@@ -177,3 +182,172 @@ class TestChaosSplicing:
         assert healed == clean_outcome
         assert tap.requests == baseline.requests
         assert tap.responses == baseline.responses
+
+
+def _drive_async(steps, request, ctx, terminal):
+    async def awaited(outbound):
+        return terminal(outbound)
+    return asyncio.run(run_chain_async(steps, request, ctx, awaited))
+
+
+@pytest.fixture(params=[run_chain, _drive_async],
+                ids=["run_chain", "run_chain_async"])
+def drive(request):
+    """Either driver, called as ``drive(steps, request, ctx, terminal)``
+    with a plain (blocking) terminal."""
+    return request.param
+
+
+class _Logged(ClientInterceptor):
+    """Logs its flows into a shared list and keeps every generator it
+    handed out, so tests can check they were all closed."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+        self.flows = []
+
+    def around(self, request, ctx):
+        flow = self.flow(request, ctx)
+        self.flows.append(flow)
+        return flow
+
+    def flow(self, request, ctx):
+        self.log.append(f"{self.name}:request")
+        try:
+            response = yield request
+            self.log.append(f"{self.name}:response")
+            return response
+        except Exception as exc:
+            self.log.append(f"{self.name}:fault:{type(exc).__name__}")
+            raise
+        finally:
+            self.log.append(f"{self.name}:finally")
+
+
+def _all_closed(*steps):
+    return all(inspect.getgeneratorstate(flow) == inspect.GEN_CLOSED
+               for step in steps for flow in step.flows)
+
+
+class TestDriverSemantics:
+    """One contract, two drivers: what a step's ``yield`` means."""
+
+    def test_pass_through_runs_flows_outermost_first(self, drive):
+        log = []
+        outer, inner = _Logged("outer", log), _Logged("inner", log)
+        assert drive([outer, inner], "req", None, str.upper) == "REQ"
+        assert log == ["outer:request", "inner:request",
+                       "inner:response", "inner:finally",
+                       "outer:response", "outer:finally"]
+        assert _all_closed(outer, inner)
+
+    def test_empty_chain_is_the_terminal(self, drive):
+        assert drive([], "req", None, str.upper) == "REQ"
+
+    def test_request_and_response_rewrite(self, drive):
+        class Rewrite(ClientInterceptor):
+            def around(self, request, ctx):
+                response = yield request + "+down"
+                return response + "+up"
+
+        seen = []
+
+        def terminal(outbound):
+            seen.append(outbound)
+            return "answer"
+
+        assert drive([Rewrite(), Rewrite()], "req", None, terminal) == \
+            "answer+up+up"
+        assert seen == ["req+down+down"]
+
+    def test_return_without_yield_short_circuits(self, drive):
+        class Cached(ClientInterceptor):
+            def around(self, request, ctx):
+                if request == "hit":
+                    return "from cache"
+                return (yield request)
+
+        log = []
+        below = _Logged("below", log)
+
+        def terminal(outbound):
+            raise AssertionError("the terminal must not run on a hit")
+
+        assert drive([Cached(), below], "hit", None, terminal) == \
+            "from cache"
+        assert log == [] and below.flows == []
+        assert drive([Cached(), below], "miss", None, str.upper) == "MISS"
+
+    def test_second_yield_re_enters_the_rest_of_the_chain(self, drive):
+        class Twice(ClientInterceptor):
+            def around(self, request, ctx):
+                first = yield request + "1"
+                second = yield request + "2"
+                return [first, second]
+
+        log = []
+        below = _Logged("below", log)
+        assert drive([Twice(), below], "r", None, str.upper) == \
+            ["R1", "R2"]
+        assert log.count("below:request") == 2
+        assert _all_closed(below)
+
+    def test_exception_below_is_thrown_in_at_the_yield(self, drive):
+        class Heal(ClientInterceptor):
+            def around(self, request, ctx):
+                try:
+                    return (yield request)
+                except KeyError:
+                    return (yield "inline")     # resend, differently
+
+        def terminal(outbound):
+            if outbound != "inline":
+                raise KeyError(outbound)
+            return "healed"
+
+        log = []
+        below = _Logged("below", log)
+        assert drive([Heal(), below], "by-ref", None, terminal) == "healed"
+        assert log == ["below:request", "below:fault:KeyError",
+                       "below:finally", "below:request",
+                       "below:response", "below:finally"]
+        assert _all_closed(below)
+
+    def test_uncaught_exception_unwinds_every_step(self, drive):
+        log = []
+        outer, inner = _Logged("outer", log), _Logged("inner", log)
+
+        def terminal(outbound):
+            raise SoapFault("soapenv:Server", "boom")
+
+        with pytest.raises(SoapFault, match="boom"):
+            drive([outer, inner], "req", None, terminal)
+        assert log == ["outer:request", "inner:request",
+                       "inner:fault:SoapFault", "inner:finally",
+                       "outer:fault:SoapFault", "outer:finally"]
+        assert _all_closed(outer, inner)
+
+    def test_finally_runs_when_a_step_above_fails(self, drive):
+        class FailsOnResponse(ClientInterceptor):
+            def around(self, request, ctx):
+                yield request
+                raise SoapFault("soapenv:Server", "response flow failed")
+
+        class FailsOnRequest(ClientInterceptor):
+            def around(self, request, ctx):
+                raise SoapFault("soapenv:Server", "request flow failed")
+                yield request
+
+        log = []
+        top, below = _Logged("top", log), _Logged("below", log)
+        with pytest.raises(SoapFault, match="response flow"):
+            drive([top, FailsOnResponse(), below], "req", None, str.upper)
+        assert log == ["top:request", "below:request", "below:response",
+                       "below:finally", "top:fault:SoapFault",
+                       "top:finally"]
+        del log[:]
+        with pytest.raises(SoapFault, match="request flow"):
+            drive([top, FailsOnRequest(), below], "req", None, str.upper)
+        assert log == ["top:request", "top:fault:SoapFault", "top:finally"]
+        assert _all_closed(top, below)

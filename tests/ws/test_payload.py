@@ -24,8 +24,8 @@ from repro.ws.payload import (PayloadMissError, PayloadRef, PayloadStore,
                               payload_digest_ok)
 from repro.ws.service import operation
 from repro.ws.soap import SoapRequest
-from repro.ws.transport import (InProcessTransport, SimulatedTransport,
-                                payload_fallback)
+from repro.ws.pipeline import CallContext, PayloadRefs, run_chain
+from repro.ws.transport import InProcessTransport, SimulatedTransport
 
 # a large, high-entropy document: well above MIN_REF_BYTES, and barely
 # compressible, so ref-sized envelopes beat even gzipped inline sends
@@ -137,7 +137,8 @@ class TestExternalize:
         assert restored.params["document"] == BIG
 
     def test_fallback_resends_inline_and_resets_peer(self):
-        peer = payload.PeerState()
+        step = PayloadRefs()
+        peer = step.peer
         request = SoapRequest("Echo", "measure", {"document": BIG})
         payload.externalize(request, peer)  # peer "learns" the digest
         seen = []
@@ -148,7 +149,8 @@ class TestExternalize:
                 raise PayloadMissError("deadbeef" * 8)
             return "response"
 
-        assert payload_fallback(send_once, request, peer) == "response"
+        assert run_chain([step], request, CallContext(kind="test"),
+                         send_once) == "response"
         assert isinstance(seen[0].params["document"], PayloadRef)
         assert seen[1].params["document"] == BIG
         assert len(peer) == 0
@@ -225,15 +227,8 @@ class TestHttpMissFault:
             transport = HttpTransport(server.endpoint("Echo"))
             payload.reset_payload_store()
             with pytest.raises(PayloadMissError):
-                transport._exchange(request, _NullSpan(), 0.0)
+                transport._exchange(request, CallContext(kind="http"))
             transport.close()
-
-
-class _NullSpan:
-    recording = False
-
-    def set_attribute(self, *a):
-        pass
 
 
 class TestGzipNegotiation:
