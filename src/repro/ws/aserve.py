@@ -55,6 +55,22 @@ from repro.ws.pipeline import (HttpGateway, HttpReject, HttpResponse,
 _MAX_HEADER_BYTES = 32 * 1024
 
 
+async def _read_body(reader: asyncio.StreamReader, length: int) -> bytearray:
+    """The *length* bytes of a request body, copied into place as they
+    arrive.  ``readexactly`` would let the reader's own buffer grow to
+    the whole body and then copy it out — two body-sized allocations
+    per request, freed together, where one will do."""
+    body = bytearray(length)
+    at = 0
+    while at < length:
+        chunk = await reader.read(length - at)
+        if not chunk:
+            raise asyncio.IncompleteReadError(b"", length)
+        body[at:at + len(chunk)] = chunk
+        at += len(chunk)
+    return body
+
+
 class AsyncSoapHttpServer(HttpFront):
     """An event-loop SOAP host bound to 127.0.0.1.
 
@@ -170,7 +186,7 @@ class AsyncSoapHttpServer(HttpFront):
                     await self._write_response(writer, reject.response,
                                                keep_alive=False)
                     return
-                body = await reader.readexactly(length) if length else b""
+                body = await _read_body(reader, length)
                 keep_alive = headers.get("connection", "").lower() != "close"
                 await self._write_response(
                     writer, await self._handle(method, target, headers, body),
@@ -224,7 +240,7 @@ class AsyncSoapHttpServer(HttpFront):
     # -- request handling ----------------------------------------------------
 
     async def _handle(self, method: str, target: str, headers: dict,
-                      body: bytes) -> HttpResponse:
+                      body: bytearray) -> HttpResponse:
         """Answer one request: admit a SOAP POST at the front door, then
         hand it to the gateway on the dispatch pool."""
         name = service_of(target)

@@ -23,8 +23,11 @@ our SOAP data plane:
   :class:`~repro.errors.TransportError`): transports fall back to a
   transparent full-payload resend, and retry policies treat a corrupt
   ref exactly like any other delivery failure.
-* gzip helpers — SOAP bodies above :data:`COMPRESS_MIN_BYTES` travel
-  gzip-compressed when the peer negotiates ``Content-Encoding``;
+* gzip helpers — SOAP envelopes above :data:`COMPRESS_MIN_BYTES` travel
+  gzip-compressed when the peer negotiates ``Content-Encoding``
+  (attachment parts beside the envelope travel stored — see
+  :func:`repro.ws.soap.frame`; they are absorbed and sent by reference
+  like inline values), inflation is bounded by :data:`MAX_BODY_BYTES`;
   :func:`simulated_wire_size` lets :class:`~repro.ws.transport
   .SimulatedTransport` bill post-compression bytes honestly.
 * the shared-memory tier — for a peer the transport knows to share
@@ -53,6 +56,7 @@ import gzip
 import hashlib
 import os
 import threading
+import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -70,6 +74,13 @@ MIN_REF_BYTES = 1024
 #: SOAP bodies above this size are gzip-compressed on negotiating
 #: transports (and billed compressed by the simulated network).
 COMPRESS_MIN_BYTES = 2048
+
+#: Largest message body either side will hold: a front refuses a longer
+#: ``Content-Length`` unread, and :func:`decompress` stops inflating at
+#: it.  Far above the biggest frame the stack ships (bulk dataset
+#: envelopes are a few MB) and far below what an unvalidated length or
+#: a gzip bomb could ask a process to buffer.
+MAX_BODY_BYTES = 256 * 1024 * 1024
 
 #: Bounds of the process-global payload store.
 STORE_MAX_ENTRIES = 256
@@ -93,6 +104,21 @@ class PayloadMissError(TransportError):
         self.digest = digest
         super().__init__(
             message or f"payload {digest[:12]}... not in local store")
+
+
+class MalformedBody(TransportError):
+    """A message body that cannot be read as sent: an unknown or
+    corrupt content coding, or (raised by :mod:`repro.ws.soap`)
+    attachment parts that do not frame or match the envelope.  A front
+    answers :attr:`http_status`."""
+
+    http_status = 400
+
+
+class BodyTooLarge(MalformedBody):
+    """A compressed body inflates past :data:`MAX_BODY_BYTES`."""
+
+    http_status = 413
 
 
 @dataclass(frozen=True)
@@ -140,10 +166,17 @@ class PayloadStore:
                  max_bytes: int = STORE_MAX_BYTES):
         self._cache = LruCache(max_entries, max_bytes)
 
-    def put(self, data: bytes) -> str:
-        """Store *data*; returns its digest (idempotent)."""
+    def put(self, data: bytes | memoryview) -> str:
+        """Store *data*; returns its digest (idempotent).
+
+        Content already held is refreshed, not replaced, and a
+        :class:`memoryview` is copied only when its content is new — so
+        a relay hop that forwards a value it has just absorbed hashes
+        it again but allocates nothing.
+        """
         digest = digest_bytes(data)
-        self._cache.put(digest, data, weight=len(data))
+        if self._cache.get(digest) is None:
+            self._cache.put(digest, bytes(data), weight=len(data))
         return digest
 
     def get(self, digest: str) -> bytes | None:
@@ -276,11 +309,9 @@ class PeerState:
             return len(self._known)
 
 
-def _as_bytes(value: str | bytes | memoryview) -> bytes:
+def _as_buffer(value: str | bytes | memoryview) -> bytes | memoryview:
     if isinstance(value, str):
         return value.encode("utf-8", "surrogatepass")
-    if isinstance(value, memoryview):
-        return bytes(value)
     return value
 
 
@@ -380,7 +411,7 @@ def _externalize_params(params: dict, peer: PeerState, min_bytes: int,
                 len(value) < min_bytes:
             new_params[name] = value
             continue
-        data = _as_bytes(value)
+        data = _as_buffer(value)
         digest = _store.put(data)
         kind = "str" if isinstance(value, str) else "bytes"
         if use_shm and shm.get_segment_store().publish(digest, data):
@@ -472,19 +503,25 @@ def resolve(digest: str, kind: str,
     return _from_bytes(data, kind)
 
 
+def absorb(value: str | bytes | memoryview,
+           min_bytes: int = MIN_REF_BYTES) -> bool:
+    """Receiving side: store one large value that arrived in full —
+    inline, or as an attachment part, whose :class:`memoryview` is
+    copied once here — so future sends of the same content can travel
+    by reference.  True when it was stored."""
+    if not _enabled or len(value) < min_bytes:
+        return False
+    _store.put(_as_buffer(value))
+    get_metrics().counter("ws.payload.absorbed").inc()
+    return True
+
+
 def absorb_params(params: dict, min_bytes: int = MIN_REF_BYTES) -> int:
-    """Receiving side: store large inline values so future sends of the
-    same content can travel by reference.  Returns the blob count."""
-    if not _enabled:
-        return 0
-    absorbed = 0
-    for value in params.values():
-        if isinstance(value, (str, bytes)) and len(value) >= min_bytes:
-            _store.put(_as_bytes(value))
-            absorbed += 1
-    if absorbed:
-        get_metrics().counter("ws.payload.absorbed").inc(absorbed)
-    return absorbed
+    """:func:`absorb` every inline ``str``/``bytes`` value of *params*;
+    returns the blob count.  A :class:`memoryview` value is a mapped
+    shared-memory segment, which already is the transfer."""
+    return sum(absorb(value, min_bytes) for value in params.values()
+               if isinstance(value, (str, bytes)))
 
 
 def refs_in(request: "SoapRequest") -> list[PayloadRef]:
@@ -518,16 +555,36 @@ def maybe_compress(body: bytes,
 
 
 def decompress(body: bytes, content_encoding: str | None) -> bytes:
-    """Undo :func:`maybe_compress` per the Content-Encoding header."""
+    """Undo :func:`maybe_compress` per the Content-Encoding header.
+
+    Inflation stops at :data:`MAX_BODY_BYTES` (:class:`BodyTooLarge`),
+    so a gzip bomb costs its sender's peer at most that much memory.
+    """
     if not content_encoding or content_encoding.lower() == "identity":
         return body
     if content_encoding.lower() != "gzip":
-        raise TransportError(
+        raise MalformedBody(
             f"unsupported Content-Encoding {content_encoding!r}")
+    # a step at a time, so a bomb is dropped one step past the limit
+    # instead of after a buffer has doubled its way there
+    inflater = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)
+    chunks, total = [], 0
     try:
-        return gzip.decompress(body)
-    except OSError as exc:
-        raise TransportError(f"corrupt gzip body: {exc}") from exc
+        while not inflater.eof:
+            chunk = inflater.decompress(body, 1024 * 1024)
+            body = inflater.unconsumed_tail
+            if not chunk and not body:
+                raise MalformedBody("corrupt gzip body: truncated")
+            total += len(chunk)
+            if total > MAX_BODY_BYTES:
+                raise BodyTooLarge(f"gzip body inflates past the "
+                                   f"{MAX_BODY_BYTES}-byte limit")
+            chunks.append(chunk)
+    except zlib.error as exc:
+        raise MalformedBody(f"corrupt gzip body: {exc}") from exc
+    if inflater.unused_data:
+        raise MalformedBody("corrupt gzip body: trailing data")
+    return b"".join(chunks)
 
 
 def simulated_wire_size(body: bytes) -> int:

@@ -545,8 +545,17 @@ def reset_result_cache() -> None:
 
 def _params_digest(params: dict[str, Any]) -> str:
     """Order-independent content digest of one call's arguments."""
-    canonical = json.dumps(params, sort_keys=True, default=repr)
+    canonical = json.dumps(params, sort_keys=True, default=_by_content)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _by_content(value: Any) -> Any:
+    """Stand-in for an argument JSON cannot carry.  Binary arguments are
+    keyed by what they hold: a ``memoryview``'s ``repr`` is its address,
+    which the next mapped or attached frame may reuse."""
+    if isinstance(value, (bytes, memoryview)):
+        return {"sha256": payload.digest_bytes(value)}
+    return repr(value)
 
 
 def _count_server_fault(request: SoapRequest) -> None:
@@ -803,13 +812,12 @@ def default_server_handlers() -> list[ServerHandler]:
 
 # -- server HTTP gateway -----------------------------------------------------
 
-#: Largest request body a front will read.  Far above the biggest frame
-#: the stack ships (bulk dataset envelopes are a few MB) and far below
-#: what an unvalidated ``Content-Length`` could ask a server to buffer.
-MAX_BODY_BYTES = 256 * 1024 * 1024
+#: Largest request body a front will read (and the most a gzip body
+#: may inflate to): the data plane's one body bound.
+MAX_BODY_BYTES = payload.MAX_BODY_BYTES
 
 _TEXT = "text/plain; charset=utf-8"
-_XML = "text/xml; charset=utf-8"
+_XML = soap.XML
 
 
 class HttpResponse(NamedTuple):
@@ -831,7 +839,9 @@ def http_response(status: int, body: bytes, content_type: str = _XML,
     headers = {"Content-Type": content_type,
                # capability advertisement: clients upgrade dataset
                # arguments from ARFF text to binary columnar frames
-               "X-Repro-Codecs": "columnar",
+               # ("columnar") and move large binary values out of the
+               # envelope into attachment parts ("swa")
+               "X-Repro-Codecs": "columnar, swa",
                # same-host advertisement: a client seeing its own boot
                # id may send shared-memory payload refs
                "X-Repro-Boot": shm.boot_id()}
@@ -863,9 +873,10 @@ class HttpGateway:
     Everything between "a request head and body arrived" and "status,
     headers and bytes to answer with" lives here — routing, the service
     index, ``?wsdl``, 404/405, ``Content-Length`` validation, and for a
-    SOAP POST: decompression, envelope decode, front-door deadline
-    shedding, the ``http:POST`` span, fault mapping, response
-    compression and the ``ws.http.*`` metrics — leaving
+    SOAP POST: unframing (attachment parts, decompression), envelope
+    decode, front-door deadline shedding, the ``http:POST`` span, fault
+    mapping, response framing (attachment parts, compression) and the
+    ``ws.http.*`` metrics — leaving
     :mod:`repro.ws.httpd`, :mod:`repro.ws.aserve` and the mesh front as
     byte loops around :meth:`body_length` and :meth:`handle`.
 
@@ -904,8 +915,9 @@ class HttpGateway:
             connection="close"))
 
     def handle(self, method: str, target: str, headers: dict[str, str],
-               body: bytes) -> HttpResponse:
-        """Answer one request (*headers* keyed lowercase)."""
+               body: bytes | bytearray) -> HttpResponse:
+        """Answer one request (*headers* keyed lowercase).  *body* is
+        the caller's to give: attachment values are views of it."""
         name = service_of(target)
         if method == "GET":
             return self._get(urlparse(target), name)
@@ -934,20 +946,23 @@ class HttpGateway:
             return http_response(502, str(exc).encode(), _TEXT)
         return http_response(200, document.encode())
 
-    def _post(self, name: str, raw: bytes,
+    def _post(self, name: str, raw: bytes | bytearray,
               headers: dict[str, str]) -> HttpResponse:
         """Serve one ``POST /services/<name>`` body."""
         start = time.perf_counter()
         status = 500
         try:
             try:
-                raw = payload.decompress(raw,
-                                         headers.get("content-encoding"))
-            except TransportError as exc:
-                status = 400
-                return http_response(400, str(exc).encode(), "text/plain")
-            request = soap.decode_request(raw)
+                envelope, attachments = soap.unframe(
+                    raw, headers.get("content-type"),
+                    headers.get("content-encoding"))
+                request = soap.decode_request(envelope, attachments)
+            except payload.MalformedBody as exc:
+                status = exc.http_status
+                return http_response(status, str(exc).encode(), _TEXT)
             request.service = name  # the URL wins over the envelope
+            request_bytes = len(envelope) + \
+                soap.attachment_bytes(attachments)
             if request.deadline_s is not None and request.deadline_s <= 0:
                 # budget already spent: reject before dispatch so a
                 # hammered server sheds doomed work at the front door
@@ -962,18 +977,23 @@ class HttpGateway:
                                  request.parent_span_id) \
                 if request.trace_id else None
             with get_tracer().span(f"http:POST /services/{name}",
-                                   {"request_bytes": len(raw)},
+                                   {"request_bytes": request_bytes},
                                    parent=parent) as span:
                 response = self.container.invoke(request)
-                body = soap.encode_response(response)
-                span.set_attribute("response_bytes", len(body))
+                # a client that accepts parts gets large results beside
+                # the envelope; any other gets the base64 document
+                parts = {} if soap.MULTIPART in \
+                    headers.get("accept", "").lower() else None
+                body = soap.encode_response(response, parts)
+                span.set_attribute("response_bytes", len(body) +
+                                   soap.attachment_bytes(parts))
                 span.set_attribute("http_status", 200)
-            encoding = None
-            if self.compress and \
-                    "gzip" in headers.get("accept-encoding", "").lower():
-                body, encoding = payload.maybe_compress(body)
+            framed = soap.frame(
+                body, parts, self.compress and
+                "gzip" in headers.get("accept-encoding", "").lower())
             status = 200
-            return http_response(200, body, content_encoding=encoding)
+            return http_response(200, framed.body, framed.content_type,
+                                 content_encoding=framed.content_encoding)
         except PayloadMissError as exc:
             # the client referenced a blob this process does not hold:
             # answer with the dedicated fault so it resends inline

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import base64
 import json
+import numbers
 import re as _re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import DeadlineExceeded, OverloadedError, ServiceError
+from repro.obs import get_metrics
 from repro.ws import payload
-from repro.ws.payload import PayloadMissError, PayloadRef
+from repro.ws.payload import MalformedBody, PayloadMissError, PayloadRef
 
 #: Fault code carried by a SOAP fault caused by an expired time budget;
 #: :func:`decode_response` resurfaces it as :class:`DeadlineExceeded`.
@@ -73,10 +75,15 @@ def _check_name(name: str, what: str) -> str:
     return name
 
 
-def _encode_value(parent: ET.Element, name: str, value: Any) -> None:
+#: Attachment values by Content-ID, in part order: filled by the
+#: encoders, consumed by the decoders.
+Attachments = dict[str, "bytes | memoryview"]
+
+
+def _encode_value(parent: ET.Element, name: str, value: Any,
+                  attachments: Attachments | None = None) -> None:
     el = ET.SubElement(parent, name)
     type_attr = _qname(XSI_NS, "type")
-    import numbers
     if isinstance(value, PayloadRef):
         # by-reference transfer (see repro.ws.payload): the receiving
         # side resolves the digest against its local payload store, or
@@ -110,10 +117,15 @@ def _encode_value(parent: ET.Element, name: str, value: Any) -> None:
             el.set(type_attr, "xsd:string")
             el.text = value
     elif isinstance(value, (bytes, memoryview)):
-        # memoryview: a shm-mapped payload being re-encoded (e.g. a
+        # memoryview: a mapped or attached payload being re-encoded (a
         # relay hop) — b64encode reads any buffer without copying first
         el.set(type_attr, "xsd:base64Binary")
-        el.text = base64.b64encode(value).decode("ascii")
+        if attachments is not None and len(value) >= payload.MIN_REF_BYTES:
+            cid = f"part{len(attachments)}"
+            attachments[cid] = value
+            el.set("href", "cid:" + cid)
+        else:
+            el.text = base64.b64encode(value).decode("ascii")
     elif isinstance(value, (dict, list, tuple)):
         el.set(type_attr, "repro:json")
         el.text = json.dumps(value)
@@ -123,7 +135,26 @@ def _encode_value(parent: ET.Element, name: str, value: Any) -> None:
             f"for parameter {name!r}")
 
 
-def _decode_value(el: ET.Element) -> Any:
+def _attached(el: ET.Element, attachments: Attachments | None
+              ) -> bytes | memoryview:
+    """Take the part an ``href="cid:..."`` element names."""
+    href = el.get("href", "")
+    cid = href[len("cid:"):] if href.startswith("cid:") else ""
+    if not attachments or cid not in attachments:
+        raise MalformedBody(
+            f"element <{el.tag}> references no attachment: {href!r}")
+    return attachments.pop(cid)
+
+
+def _all_taken(attachments: Attachments | None) -> None:
+    if attachments:
+        raise MalformedBody(
+            f"attachment parts no element references: "
+            f"{sorted(attachments)}")
+
+
+def _decode_value(el: ET.Element,
+                  attachments: Attachments | None = None) -> Any:
     if el.get(_qname(XSI_NS, "nil")) == "true":
         return None
     type_attr = el.get(_qname(XSI_NS, "type"), "xsd:string")
@@ -135,6 +166,8 @@ def _decode_value(el: ET.Element) -> Any:
     if type_attr.endswith("double"):
         return float(text)
     if type_attr.endswith("base64Binary"):
+        if el.get("href") is not None:
+            return _attached(el, attachments)
         return base64.b64decode(text)
     if type_attr.endswith("stringb64"):
         return base64.b64decode(text).decode("utf-8", "surrogatepass")
@@ -274,8 +307,10 @@ def batch_size_of(request: SoapRequest) -> int | None:
 _TRACE_ID_OK = _re.compile(r"^[0-9a-f]{1,64}$")
 
 
-def encode_request(request: SoapRequest) -> bytes:
-    """Serialise a SoapRequest as an envelope."""
+def encode_request(request: SoapRequest,
+                   attachments: Attachments | None = None) -> bytes:
+    """Serialise a SoapRequest as an envelope; large binary parameters
+    move into *attachments* when the caller passes one."""
     envelope = ET.Element(_qname(ENVELOPE_NS, "Envelope"))
     if request.trace_id or request.deadline_s is not None \
             or request.principal or request.priority:
@@ -303,21 +338,41 @@ def encode_request(request: SoapRequest) -> bytes:
             call = ET.SubElement(batch, _qname(REPRO_NS, "Call"))
             call.set("operation", _check_name(sub.operation, "operation"))
             for name, value in sub.params.items():
-                _encode_value(call, _check_name(name, "parameter"), value)
+                _encode_value(call, _check_name(name, "parameter"), value,
+                              attachments)
         return ET.tostring(envelope, encoding="utf-8",
                            xml_declaration=True)
     op = ET.SubElement(body, _qname(
         REPRO_NS, _check_name(request.operation, "operation")))
     op.set("service", request.service)
     for name, value in request.params.items():
-        _encode_value(op, _check_name(name, "parameter"), value)
+        _encode_value(op, _check_name(name, "parameter"), value,
+                      attachments)
     return ET.tostring(envelope, encoding="utf-8",
                        xml_declaration=True)
 
 
-def decode_request(document: bytes) -> SoapRequest:
-    """Parse a request envelope into a SoapRequest."""
-    envelope = _envelope_of(document)
+def decode_request(document: bytes,
+                   attachments: Attachments | None = None) -> SoapRequest:
+    """Parse a request envelope into a SoapRequest.
+
+    *attachments* are the parts that arrived beside it (see
+    :func:`unframe`): each must be referenced by exactly one element,
+    whose value is the part itself — a view of the request body, not a
+    copy — or the message is a :class:`MalformedBody`.
+    """
+    parts = dict(attachments or ())
+    arrived = list(parts.values())
+    request = _decode_request(_envelope_of(document), parts)
+    _all_taken(parts)
+    for value in arrived:
+        # like a large inline value, so a repeat send can go by ref
+        payload.absorb(value)
+    return request
+
+
+def _decode_request(envelope: ET.Element,
+                    parts: Attachments) -> SoapRequest:
     body = _body_in(envelope)
     op = _single_child(body, "request")
     local = op.tag.rsplit("}", 1)[-1]
@@ -328,8 +383,9 @@ def decode_request(document: bytes) -> SoapRequest:
             if call_el.tag.rsplit("}", 1)[-1] != "Call":
                 raise ServiceError(
                     "multicall body may only carry <repro:Call> items")
-            sub_params = {child.tag.rsplit("}", 1)[-1]: _decode_value(child)
-                          for child in call_el}
+            sub_params = {
+                child.tag.rsplit("}", 1)[-1]: _decode_value(child, parts)
+                for child in call_el}
             payload.absorb_params(sub_params)
             calls.append(SubCall(call_el.get("operation", ""), sub_params))
         trace_id, parent_span_id = _decode_trace_header(envelope)
@@ -339,7 +395,7 @@ def decode_request(document: bytes) -> SoapRequest:
                            parent_span_id=parent_span_id,
                            deadline_s=_decode_deadline_header(envelope),
                            principal=principal, priority=priority)
-    params = {child.tag.rsplit("}", 1)[-1]: _decode_value(child)
+    params = {child.tag.rsplit("}", 1)[-1]: _decode_value(child, parts)
               for child in op}
     # remember large inline payloads so the peer's next send of the
     # same content can travel as a <repro:payloadRef> element
@@ -463,8 +519,10 @@ def _fault_to_exception(code: str, string: str, detail: str) -> Exception:
     return SoapFault(code, string, detail)
 
 
-def encode_response(response: SoapResponse) -> bytes:
-    """Serialise a SoapResponse as an envelope."""
+def encode_response(response: SoapResponse,
+                    attachments: Attachments | None = None) -> bytes:
+    """Serialise a SoapResponse as an envelope; large binary results
+    move into *attachments* when the caller passes one."""
     envelope = ET.Element(_qname(ENVELOPE_NS, "Envelope"))
     body = ET.SubElement(envelope, _qname(ENVELOPE_NS, "Body"))
     op = ET.SubElement(body,
@@ -478,7 +536,7 @@ def encode_response(response: SoapResponse) -> bytes:
         for outcome in outcomes:
             if outcome.ok:
                 item = ET.SubElement(op, _qname(REPRO_NS, "Result"))
-                _encode_value(item, "return", outcome.result)
+                _encode_value(item, "return", outcome.result, attachments)
             else:
                 item = ET.SubElement(op, _qname(REPRO_NS, "Fault"))
                 code, string, detail = _fault_fields(outcome.error)
@@ -488,7 +546,7 @@ def encode_response(response: SoapResponse) -> bytes:
                     ET.SubElement(item, "detail").text = detail
         return ET.tostring(envelope, encoding="utf-8",
                            xml_declaration=True)
-    _encode_value(op, "return", response.result)
+    _encode_value(op, "return", response.result, attachments)
     return ET.tostring(envelope, encoding="utf-8", xml_declaration=True)
 
 
@@ -507,9 +565,20 @@ def encode_fault(fault: SoapFault) -> bytes:
     return ET.tostring(envelope, encoding="utf-8", xml_declaration=True)
 
 
-def decode_response(document: bytes) -> SoapResponse:
-    """Decode a response envelope, raising :class:`SoapFault` on faults."""
-    body = _body_of(document)
+def decode_response(document: bytes,
+                    attachments: Attachments | None = None) -> SoapResponse:
+    """Decode a response envelope, raising :class:`SoapFault` on faults.
+
+    A result that arrived as one of *attachments* is copied out of the
+    response body, so callers get ``bytes`` whichever way it travelled.
+    """
+    parts = {cid: bytes(part) for cid, part in (attachments or {}).items()}
+    response = _decode_response(_body_of(document), parts)
+    _all_taken(parts)
+    return response
+
+
+def _decode_response(body: ET.Element, parts: Attachments) -> SoapResponse:
     child = _single_child(body, "response")
     local = child.tag.rsplit("}", 1)[-1]
     if local == "Fault":
@@ -526,7 +595,7 @@ def decode_response(document: bytes) -> SoapResponse:
             if kind == "Result":
                 result_el = item.find("return")
                 outcomes.append(CallOutcome(
-                    result=_decode_value(result_el)
+                    result=_decode_value(result_el, parts)
                     if result_el is not None else None))
             elif kind == "Fault":
                 outcomes.append(CallOutcome(error=_fault_to_exception(
@@ -539,7 +608,8 @@ def decode_response(document: bytes) -> SoapResponse:
         return SoapResponse(service=child.get("service", ""),
                             operation=MULTICALL_OP, result=outcomes)
     result_el = child.find("return")
-    result = _decode_value(result_el) if result_el is not None else None
+    result = _decode_value(result_el, parts) \
+        if result_el is not None else None
     return SoapResponse(service=child.get("service", ""),
                         operation=local[:-len("Response")],
                         result=result)
@@ -573,3 +643,184 @@ def _single_child(body: ET.Element, what: str) -> ET.Element:
             f"SOAP {what} body must carry exactly one element, "
             f"got {len(children)}")
     return children[0]
+
+
+# -- attachments beside the envelope -----------------------------------------
+
+#: Media type of a message that carries attachment parts.
+MULTIPART = "multipart/related"
+#: Media type of an envelope: a whole body, or a message's first part.
+XML = "text/xml; charset=utf-8"
+
+# The reader takes the boundary from Content-Type and advances by each
+# part's Content-Length, so a fixed one is safe: bytes that look like a
+# delimiter inside a frame are never examined.
+_BOUNDARY = "repro-swa"
+_MULTIPART_TYPE = f'{MULTIPART}; type="text/xml"; boundary="{_BOUNDARY}"'
+
+
+class Framed(NamedTuple):
+    """One message as it crosses HTTP."""
+
+    body: bytes
+    content_type: str
+    content_encoding: str | None
+
+
+def frame(envelope: bytes, attachments: Attachments | None,
+          gzip: bool) -> Framed:
+    """The HTTP body for *envelope* and the *attachments* its elements
+    reference.
+
+    With *gzip*, :func:`repro.ws.payload.maybe_compress` applies to the
+    envelope alone; attachment parts travel stored (level-1 gzip of a
+    raw RCF1 frame costs 39 ms per 1.3 MB and saves 4.7 %).  Without
+    attachments the body is the envelope itself, as before.
+    """
+    chunks, content_type, encoding = frame_chunks(envelope, attachments,
+                                                  gzip)
+    return Framed(b"".join(chunks), content_type, encoding)
+
+
+def frame_chunks(envelope: bytes, attachments: Attachments | None,
+                 gzip: bool) -> tuple[list[bytes | memoryview], str,
+                                      str | None]:
+    """:func:`frame` for a sender that writes the body piece by piece:
+    ``(chunks, content_type, content_encoding)``, where the chunks
+    concatenate to the body and every attachment is its own chunk —
+    the caller's buffer, not a copy of it."""
+    encoding = None
+    if gzip:
+        envelope, encoding = payload.maybe_compress(envelope)
+    if not attachments:
+        return [envelope], XML, encoding
+    delimiter = f"--{_BOUNDARY}".encode()
+    head = b"Content-Type: %s\r\nContent-Length: %d\r\n" % (
+        XML.encode(), len(envelope))
+    if encoding:
+        head += b"Content-Encoding: %s\r\n" % encoding.encode()
+    # the envelope part goes out in one chunk with the first part's head
+    chunks, lead = [], b"".join((delimiter, b"\r\n", head, b"\r\n", envelope))
+    for cid, data in attachments.items():
+        chunks += [lead + b"\r\n%s\r\nContent-ID: <%s>\r\n"
+                          b"Content-Type: application/octet-stream\r\n"
+                          b"Content-Length: %d\r\n\r\n" % (
+                              delimiter, cid.encode(), len(data)),
+                   data]
+        lead = b""
+    chunks.append(b"\r\n%s--\r\n" % delimiter)
+    _count_attachments(attachments)
+    return chunks, _MULTIPART_TYPE, None
+
+
+def unframe(body: bytes, content_type: str | None,
+            content_encoding: str | None
+            ) -> tuple[bytes, Attachments | None]:
+    """Undo :func:`frame`: ``(envelope, attachments)`` of one HTTP body,
+    decompressed; the attachments are views of *body*.
+
+    Raises :class:`MalformedBody` for a multipart body that does not
+    frame — a missing or non-XML first part, a part without a valid
+    ``Content-Length`` or running past the body, a missing delimiter, a
+    repeated or absent ``Content-ID``, bytes after the closing
+    delimiter.
+    """
+    body = payload.decompress(body, content_encoding)
+    media_type, _, parameters = (content_type or "").partition(";")
+    if media_type.strip().lower() != MULTIPART:
+        return body, None
+    parts = _split_parts(body, _boundary_in(parameters))
+    if not parts or \
+            not parts[0][0].get("content-type", "").startswith("text/xml"):
+        raise MalformedBody("multipart body has no envelope part")
+    root_head, root = parts[0]
+    attachments: Attachments = {}
+    for head, data in parts[1:]:
+        cid = head.get("content-id", "")
+        if not (cid.startswith("<") and cid.endswith(">") and cid[1:-1]):
+            raise MalformedBody(
+                f"attachment part has no Content-ID ({cid!r})")
+        if cid[1:-1] in attachments:
+            raise MalformedBody(f"duplicate attachment part {cid}")
+        attachments[cid[1:-1]] = data
+    _count_attachments(attachments)
+    return payload.decompress(bytes(root),
+                              root_head.get("content-encoding")), attachments
+
+
+def attachment_bytes(attachments: Attachments | None) -> int:
+    """Total size of the parts travelling beside one envelope."""
+    return sum(len(data) for data in (attachments or {}).values())
+
+
+def _count_attachments(attachments: Attachments) -> None:
+    if attachments:
+        metrics = get_metrics()
+        metrics.counter("ws.soap.attachments").inc(len(attachments))
+        metrics.counter("ws.soap.attachment_bytes").inc(
+            attachment_bytes(attachments))
+
+
+def _boundary_in(parameters: str) -> bytes:
+    for parameter in parameters.split(";"):
+        name, _, value = parameter.partition("=")
+        if name.strip().lower() == "boundary":
+            boundary = value.strip().strip('"')
+            # RFC 2046: 1-70 characters
+            if 0 < len(boundary) <= 70:
+                return boundary.encode("latin-1")
+    raise MalformedBody("multipart Content-Type names no boundary")
+
+
+def _split_parts(body: bytes, boundary: bytes
+                 ) -> list[tuple[dict[str, str], memoryview]]:
+    """``(lowercased headers, data view)`` of every part, found by
+    walking: delimiter, head, ``Content-Length`` bytes, delimiter, ...
+    Each step checks what it lands on, so the cost is per part, not per
+    byte, and every wrong length ends the walk.  An attachment part is
+    never shorter than :data:`repro.ws.payload.MIN_REF_BYTES` (smaller
+    values stay in the envelope), which bounds the part count by the
+    body length."""
+    delimiter = b"--" + boundary
+    view = memoryview(body).toreadonly()  # a front may read into a bytearray
+    parts: list[tuple[dict[str, str], memoryview]] = []
+    at = 0
+    while True:
+        if body[at:at + len(delimiter)] != delimiter:
+            raise MalformedBody(f"no part delimiter at byte {at}")
+        at += len(delimiter)
+        if body[at:at + 2] == b"--":
+            if body[at + 2:at + 5] not in (b"", b"\r\n"):
+                raise MalformedBody("bytes after the closing delimiter")
+            return parts
+        # a head is a few short lines: look no further into what may
+        # be binary than that
+        head_end = body.find(b"\r\n\r\n", at, at + 1024)
+        if body[at:at + 2] != b"\r\n" or head_end < 0:
+            raise MalformedBody(f"unterminated part head at byte {at}")
+        head = {}
+        for line in body[at + 2:head_end].decode("latin-1").split("\r\n"):
+            name, _, value = line.partition(":")
+            head[name.strip().lower()] = value.strip()
+        start = head_end + 4
+        length = _length_of(head, len(body) - start - 2)
+        if length is None or (parts and length < payload.MIN_REF_BYTES):
+            raise MalformedBody(
+                f"part at byte {at} has Content-Length "
+                f"{head.get('content-length')!r}, "
+                f"{len(body) - start} bytes remain")
+        at = start + length
+        parts.append((head, view[start:at]))
+        if body[at:at + 2] != b"\r\n":
+            raise MalformedBody(f"part does not end at byte {at}")
+        at += 2
+
+
+def _length_of(head: dict[str, str], most: int) -> int | None:
+    """A part's ``Content-Length`` when it is a byte count of at most
+    *most*; never parses more digits than *most* has."""
+    text = head.get("content-length", "")
+    if text.isascii() and text.isdigit() and len(text) <= len(str(most)) \
+            and int(text) <= most:
+        return int(text)
+    return None

@@ -187,6 +187,9 @@ class HttpTransport(ChainedTransport):
     gzip-compressed (``Content-Encoding: gzip``), and every request
     advertises ``Accept-Encoding: gzip`` so a compressing server can
     answer in kind; a peer that ignores both stays fully interoperable.
+    To a peer that advertises ``swa``, large binary parameters leave
+    the envelope and travel stored, as ``multipart/related`` parts (see
+    :mod:`repro.ws.soap`); gzip then covers the envelope part only.
     Pass ``compress=False`` to negotiate identity encoding only (the
     flag feeds the chain's gzip step).
     """
@@ -273,12 +276,16 @@ class HttpTransport(ChainedTransport):
         return effective
 
     def _post(self, conn: http.client.HTTPConnection,
-              request: SoapRequest, wire: bytes, headers: dict):
+              request: SoapRequest, wire: list, headers: dict):
         effective = self._deadline_timeout(request)
         conn.timeout = effective
         if conn.sock is not None:
             conn.sock.settimeout(effective)
-        conn.request("POST", self._path, body=wire, headers=headers)
+        # a lone chunk goes as the bytes it is: http.client walks an
+        # iterable slowly enough for the server to wake on the head alone
+        conn.request("POST", self._path,
+                     body=wire[0] if len(wire) == 1 else wire,
+                     headers=headers)
         http_response = conn.getresponse()
         return http_response, http_response.read()
 
@@ -296,16 +303,30 @@ class HttpTransport(ChainedTransport):
             f"cannot reach {self.endpoint}: {exc}") from exc
 
     def _prepare(self, request: SoapRequest,
-                 ctx: CallContext) -> tuple[bytes, dict]:
-        """Encode one request to ``(wire, headers)``."""
-        encoded = soap.encode_request(request)
+                 ctx: CallContext) -> tuple[list, int, dict]:
+        """Encode one request to ``(wire, size, headers)``: the body as
+        the chunks to write in turn (an attachment is the caller's own
+        buffer, never joined into a second copy of it), their total
+        size, and the headers, ``Content-Length`` included."""
+        # large binary parameters travel as parts beside the envelope
+        # once the peer has advertised "swa"; until then (and to a peer
+        # that never does) they stay base64 text inside it
+        attachments = {} if self.speaks("swa") else None
+        encoded = soap.encode_request(request, attachments)
+        gzip = bool(ctx.get("accept_gzip"))
+        wire, content_type, encoding = soap.frame_chunks(
+            encoded, attachments, gzip)
+        size = sum(map(len, wire))
         headers = {
-            "Content-Type": "text/xml; charset=utf-8",
+            "Content-Type": content_type,
+            "Content-Length": str(size),
             "SOAPAction": f'"{request.operation}"',
-            # advertise the columnar dataset codec; servers answer with
+            # advertise the columnar dataset codec (servers answer with
             # X-Repro-Codecs and callers check Transport.speaks() before
-            # shipping binary frames instead of ARFF text
-            "Accept": "text/xml, application/x-repro-columnar",
+            # shipping binary frames instead of ARFF text) and that a
+            # response may carry attachment parts
+            "Accept": f"text/xml, application/x-repro-columnar, "
+                      f"{soap.MULTIPART}",
         }
         if request.principal:
             # mirrored out of the envelope so admission front doors can
@@ -313,40 +334,47 @@ class HttpTransport(ChainedTransport):
             headers["X-Repro-Principal"] = request.principal
         if request.priority:
             headers["X-Repro-Priority"] = str(request.priority)
-        wire = encoded
-        if ctx.get("accept_gzip"):
+        if gzip:
             headers["Accept-Encoding"] = "gzip"
-            wire, encoding = payload.maybe_compress(encoded)
-            if encoding:
-                headers["Content-Encoding"] = encoding
-        return wire, headers
+        if encoding:
+            headers["Content-Encoding"] = encoding
+        if attachments:
+            ctx.note("attachments", len(attachments))
+            ctx.note("attachment_bytes", soap.attachment_bytes(attachments))
+        return wire, size, headers
 
-    def _finish(self, request: SoapRequest, ctx: CallContext, wire: bytes,
+    def _finish(self, request: SoapRequest, ctx: CallContext, sent: int,
                 body: bytes, status: int,
-                content_encoding: str | None,
-                codecs_header: str | None = None,
-                boot_header: str | None = None) -> SoapResponse:
-        """Account for + decode one completed exchange."""
-        if codecs_header:
-            advertised = {token.strip() for token in codecs_header.split(",")
-                          if token.strip()}
-            if not advertised <= self.peer_codecs:
-                self.peer_codecs = self.peer_codecs | frozenset(advertised)
-        if boot_header:
-            self.peer_boot = boot_header.strip()
+                headers: dict[str, str]) -> SoapResponse:
+        """Account for + decode one completed exchange of *sent* request
+        bytes (*headers* keyed lowercase)."""
+        advertised = {token.strip()
+                      for token in headers.get("x-repro-codecs", "").split(",")
+                      if token.strip()}
+        if not advertised <= self.peer_codecs:
+            self.peer_codecs = self.peer_codecs | frozenset(advertised)
+        if headers.get("x-repro-boot"):
+            self.peer_boot = headers["x-repro-boot"].strip()
         self.bytes_received += len(body)
-        ctx.note("bytes_sent", len(wire))
+        ctx.note("bytes_sent", sent)
         ctx.note("bytes_received", len(body))
         ctx.note("payload_refs", len(payload.refs_in(request)))
         ctx.note("http_status", status)
-        ctx.on_wire(len(wire), len(body))
-        body = payload.decompress(body, content_encoding)
-        return soap.decode_response(body)  # raises SoapFault on faults
+        ctx.on_wire(sent, len(body))
+        try:
+            envelope, attachments = soap.unframe(
+                body, headers.get("content-type"),
+                headers.get("content-encoding"))
+        except payload.MalformedBody:
+            ctx.on_transport_error()
+            raise
+        # raises SoapFault on faults
+        return soap.decode_response(envelope, attachments)
 
     def _exchange(self, request: SoapRequest,
                   ctx: CallContext) -> SoapResponse:
-        wire, headers = self._prepare(request, ctx)
-        self.bytes_sent += len(wire)
+        wire, sent, headers = self._prepare(request, ctx)
+        self.bytes_sent += sent
         conn, reused = self._checkout()
         try:
             http_response, body = self._post(conn, request, wire, headers)
@@ -374,10 +402,9 @@ class HttpTransport(ChainedTransport):
             conn.close()
             self._raise_unreachable(exc, request, ctx)
         self._checkin(conn)
-        return self._finish(request, ctx, wire, body, http_response.status,
-                            http_response.getheader("Content-Encoding"),
-                            http_response.getheader("X-Repro-Codecs"),
-                            http_response.getheader("X-Repro-Boot"))
+        return self._finish(request, ctx, sent, body, http_response.status,
+                            {name.lower(): value for name, value
+                             in http_response.getheaders()})
 
     # -- native asyncio exchange --------------------------------------------
 
@@ -402,7 +429,7 @@ class HttpTransport(ChainedTransport):
 
     async def _post_async(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter,
-                          wire: bytes, headers: dict
+                          wire: list, headers: dict
                           ) -> tuple[int, dict, bytes]:
         """One raw HTTP/1.1 POST over asyncio streams.
 
@@ -412,11 +439,11 @@ class HttpTransport(ChainedTransport):
         ``RemoteDisconnected``.
         """
         lines = [f"POST {self._path} HTTP/1.1",
-                 f"Host: {self._netloc}",
-                 f"Content-Length: {len(wire)}"]
+                 f"Host: {self._netloc}"]
         lines.extend(f"{name}: {value}" for name, value in headers.items())
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-        writer.write(wire)
+        for chunk in wire:
+            writer.write(chunk)
         await writer.drain()
 
         status_line = await reader.readuntil(b"\r\n")
@@ -459,8 +486,8 @@ class HttpTransport(ChainedTransport):
         pooled connections, same deadline-bounded socket wait — but no
         thread is held while the server works.
         """
-        wire, headers = self._prepare(request, ctx)
-        self.bytes_sent += len(wire)
+        wire, sent, headers = self._prepare(request, ctx)
+        self.bytes_sent += sent
         effective = self._deadline_timeout(request)
 
         async def attempt(pair, reused):
@@ -496,10 +523,8 @@ class HttpTransport(ChainedTransport):
         except (OSError, asyncio.IncompleteReadError) as exc:
             self._raise_unreachable(exc, request, ctx)
         self._apool.append(pair)
-        return self._finish(request, ctx, wire, body, status,
-                            response_headers.get("content-encoding"),
-                            response_headers.get("x-repro-codecs"),
-                            response_headers.get("x-repro-boot"))
+        return self._finish(request, ctx, sent, body, status,
+                            response_headers)
 
     def close(self) -> None:
         """Release underlying resources."""

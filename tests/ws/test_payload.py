@@ -6,9 +6,13 @@ full-payload fallback after a peer miss, gzip negotiation against a
 non-compressing peer, and corrupt-ref rejection under chaos.
 """
 
+import gzip
 import hashlib
+import http.client
 import random
 import string
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -19,12 +23,13 @@ from repro.obs import get_metrics
 from repro.ws import payload, soap
 from repro.ws.client import HttpTransport
 from repro.ws.container import ServiceContainer
-from repro.ws.httpd import SoapHttpServer
+from repro.ws.httpd import SoapHttpServer, ThreadedListener
 from repro.ws.payload import (PayloadMissError, PayloadRef, PayloadStore,
                               payload_digest_ok)
 from repro.ws.service import operation
 from repro.ws.soap import SoapRequest
-from repro.ws.pipeline import CallContext, PayloadRefs, run_chain
+from repro.ws.pipeline import (CallContext, HttpGateway, PayloadRefs,
+                               http_response, run_chain)
 from repro.ws.transport import InProcessTransport, SimulatedTransport
 
 # a large, high-entropy document: well above MIN_REF_BYTES, and barely
@@ -72,6 +77,19 @@ class TestDigestAndStore:
         assert d1 == d2
         assert len(store) == 1
         assert store.get(d1) == b"hello world"
+
+    def test_put_keeps_what_it_holds_and_copies_a_view_once(self):
+        store = PayloadStore(max_entries=2)
+        body = b"head" + bytes(range(256)) * 8
+        view = memoryview(body)[4:]
+        digest = store.put(view)
+        held = store.get(digest)
+        assert type(held) is bytes and held == view
+        store.put(b"other")
+        assert store.put(view) == digest    # refreshed, not replaced ...
+        assert store.get(digest) is held
+        store.put(b"third")                 # ... so "other" is the LRU
+        assert digest in store and len(store) == 2
 
     def test_entry_bound_evicts_lru(self):
         store = PayloadStore(max_entries=3)
@@ -276,6 +294,92 @@ class TestGzipNegotiation:
     def test_decompress_rejects_corrupt_gzip(self):
         with pytest.raises(TransportError):
             payload.decompress(b"not gzip at all", "gzip")
+
+    def test_decompress_rejects_truncated_and_trailing(self):
+        body = gzip.compress(BIG.encode())
+        assert payload.decompress(body, "gzip") == BIG.encode()
+        for broken in (body[:-9], body + b"again"):
+            with pytest.raises(payload.MalformedBody):
+                payload.decompress(broken, "gzip")
+
+
+def gzip_bomb(inflated_bytes: int) -> bytes:
+    """A gzip stream of zeros inflating past *inflated_bytes*, about a
+    thousandth the size: one full-flushed 1 MiB block, repeated (such
+    blocks are self-contained, so the copies decode one after another).
+    The trailer is absent — a reader that got that far has lost."""
+    deflater = zlib.compressobj(9, wbits=16 + zlib.MAX_WBITS)
+    mib = bytes(1024 * 1024)
+    header_and_block = deflater.compress(mib) + \
+        deflater.flush(zlib.Z_FULL_FLUSH)
+    block = deflater.compress(mib) + deflater.flush(zlib.Z_FULL_FLUSH)
+    return header_and_block + block * (inflated_bytes // len(mib) + 1)
+
+
+class TestGzipBomb:
+    def test_inflation_stops_at_the_body_limit(self):
+        """A quarter-megabyte body that would inflate past 256 MiB is
+        refused having allocated the limit plus a step or two."""
+        bomb = gzip_bomb(payload.MAX_BODY_BYTES)
+        assert len(bomb) < payload.MAX_BODY_BYTES // 500
+        tracemalloc.start()
+        try:
+            with pytest.raises(payload.BodyTooLarge):
+                payload.decompress(bomb, "gzip")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= payload.MAX_BODY_BYTES + 4 * 1024 * 1024
+
+    def test_a_bomb_under_the_limit_still_inflates(self, monkeypatch):
+        monkeypatch.setattr(payload, "MAX_BODY_BYTES", 4 * 1024 * 1024)
+        body = gzip.compress(bytes(4 * 1024 * 1024))
+        assert len(payload.decompress(body, "gzip")) == 4 * 1024 * 1024
+        with pytest.raises(payload.BodyTooLarge):
+            payload.decompress(gzip.compress(bytes(4 * 1024 * 1024 + 1)),
+                               "gzip")
+
+    def test_a_front_answers_413(self, monkeypatch):
+        monkeypatch.setattr(payload, "MAX_BODY_BYTES", 1024 * 1024)
+        container = ServiceContainer()
+        container.deploy(Echo, "Echo")
+        with SoapHttpServer(container) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=5)
+            conn.request("POST", "/services/Echo",
+                         body=gzip_bomb(1024 * 1024),
+                         headers={"Content-Encoding": "gzip"})
+            response = conn.getresponse()
+            assert (response.status, response.reason) == \
+                (413, "Request Entity Too Large")
+            assert b"inflates past" in response.read()
+            conn.close()
+        assert get_metrics().counter("ws.http.requests", service="Echo",
+                                     status=413).value == 1
+
+    def test_a_client_raises_a_metered_transport_error(self, monkeypatch):
+        monkeypatch.setattr(payload, "MAX_BODY_BYTES", 1024 * 1024)
+
+        class Bomber(HttpGateway):
+            def handle(self, method, target, headers, body):
+                return http_response(200, gzip_bomb(1024 * 1024),
+                                     content_encoding="gzip")
+
+        listener = ThreadedListener(Bomber(None), ("127.0.0.1", 0),
+                                    "bomber")
+        listener.start()
+        transport = HttpTransport(
+            f"http://127.0.0.1:{listener.address[1]}/services/Echo")
+        try:
+            with pytest.raises(payload.BodyTooLarge):
+                transport.send(SoapRequest("Echo", "measure",
+                                           {"document": "x"}))
+        finally:
+            transport.close()
+            listener.stop()
+        assert issubclass(payload.BodyTooLarge, TransportError)
+        assert get_metrics().counter("ws.transport.errors",
+                                     transport="http").value == 1
 
 
 class TestChaosCorruptRef:

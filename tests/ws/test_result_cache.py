@@ -28,6 +28,12 @@ class Oracle:
         self.computed += 1
         return {"n": n, "squares": [i * i for i in range(n)]}
 
+    @operation(cacheable=True)
+    def checksum(self, blob: bytes) -> int:
+        """Byte sum of *blob* (pure)."""
+        self.computed += 1
+        return sum(bytes(blob))
+
     @operation
     def roll(self, n: int) -> int:
         """Not pure: never cached."""
@@ -92,6 +98,24 @@ class TestResultCache:
         container.call("Oracle", "square", n=7)
         container.call("Oracle", "square", n=7)
         assert oracle.computed == 2
+
+    def test_binary_arguments_are_keyed_by_content(self, deployed):
+        """A mapped or attached frame arrives as a ``memoryview``, whose
+        ``repr`` is its address.  Two frames at one address (here: one
+        buffer, rewritten) must not share a cached answer, and one
+        frame at two addresses must."""
+        container, oracle = deployed
+        buffer = bytearray(b"\x01" * 2048)
+        view = memoryview(buffer)
+        assert container.call("Oracle", "checksum", blob=view) == 2048
+        buffer[:] = b"\x02" * 2048
+        assert container.call("Oracle", "checksum", blob=view) == 4096
+        assert (oracle.computed, hits()) == (2, 0)
+        assert container.call(
+            "Oracle", "checksum", blob=memoryview(bytes(buffer))) == 4096
+        assert container.call(
+            "Oracle", "checksum", blob=bytes(buffer)) == 4096
+        assert (oracle.computed, hits()) == (2, 2)
 
     def test_results_shared_across_containers(self, deployed):
         container, oracle = deployed

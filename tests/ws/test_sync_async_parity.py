@@ -2,11 +2,13 @@
 
 Every chain step is written once and run by two drivers; this suite is
 the safety net for that: the same call sequence — a success, a SOAP
-fault, a payload miss healed by an inline resend, a breaker tripped and
-then failing fast, a spent deadline — goes through ``ServiceProxy.call``
-and ``ServiceProxy.call_async`` over tcp and over a unix socket, and
-must produce equal results and exception types, equal span trees
-(names, parentage, attribute keys) and equal counter values.
+fault, a payload miss healed by an inline resend, a megabyte of binary
+sent twice (attached beside the envelope, then by reference), a breaker
+tripped and then failing fast, a spent deadline — goes through
+``ServiceProxy.call`` and ``ServiceProxy.call_async`` over tcp and over
+a unix socket, and must produce equal results and exception types,
+equal span trees (names, parentage, attribute keys) and equal counter
+values.
 """
 
 import asyncio
@@ -32,6 +34,8 @@ from repro.ws.transport import transport_for, unix_url
 # well above payload.MIN_REF_BYTES, so a repeat send goes by reference
 BIG = "".join(random.Random(0).choices(
     string.ascii_letters + string.digits, k=8000))
+# leaves the envelope as an attachment part once the peer is probed
+FRAME = random.Random(1).randbytes(1024 * 1024 + 17)
 
 
 class Desk:
@@ -46,6 +50,11 @@ class Desk:
     def measure(self, document: str) -> int:
         """Length of *document*."""
         return len(document)
+
+    @operation
+    def weigh(self, frame: bytes) -> int:
+        """Byte sum of *frame*."""
+        return sum(bytes(frame))
 
     @operation
     def refuse(self) -> str:
@@ -101,6 +110,8 @@ def _sequence_sync(live: ServiceProxy, dead: ServiceProxy) -> list:
         _outcome(lambda: live.call("refuse")),
         _outcome(lambda: live.call("measure", document=BIG)),
         _outcome(lambda: live.call("measure", document=BIG)),
+        _outcome(lambda: live.call("weigh", frame=FRAME)),
+        _outcome(lambda: live.call("weigh", frame=FRAME)),
         _outcome(lambda: dead.call("greet", name="x")),
         _outcome(lambda: dead.call("greet", name="x")),
         _outcome(spent),
@@ -121,6 +132,10 @@ def _sequence_async(live: ServiceProxy, dead: ServiceProxy) -> list:
                 lambda: live.call_async("measure", document=BIG)),
             await _outcome_async(
                 lambda: live.call_async("measure", document=BIG)),
+            await _outcome_async(
+                lambda: live.call_async("weigh", frame=FRAME)),
+            await _outcome_async(
+                lambda: live.call_async("weigh", frame=FRAME)),
             await _outcome_async(
                 lambda: dead.call_async("greet", name="x")),
             await _outcome_async(
@@ -194,8 +209,18 @@ def test_call_and_call_async_are_indistinguishable(server, scheme,
 
     outcomes, spans, counters = observed["sync"]
     assert outcomes == ["hello ada", SoapFault, len(BIG), len(BIG),
+                        sum(FRAME), sum(FRAME),
                         TransportError, CircuitOpenError, DeadlineExceeded]
     assert counters[("ws.payload.fallbacks", ())] == 1
+    # the frame went out once, beside the envelope (counted at the
+    # client's encode and the server's decode), then by reference
+    assert counters[("ws.soap.attachments", ())] == 2
+    assert counters[("ws.soap.attachment_bytes", ())] == 2 * len(FRAME)
+    assert (("soap:Desk.weigh", "send:" + ("http" if scheme == "tcp"
+                                           else "uds")),
+            ("attachment_bytes", "attachments", "bytes_received",
+             "bytes_sent", "endpoint", "http_status",
+             "payload_refs")) in spans
     assert observed["async"][0] == outcomes
     assert observed["async"][1] == spans
     assert observed["async"][2] == counters
