@@ -13,12 +13,10 @@ Two pieces implement that:
   :mod:`repro.ws.deadline`).
 * :class:`ReplicatedServiceTool` — a workflow tool bound to a *pool* of
   equivalent service endpoints (replicas of the same algorithm on different
-  resources).  On a transport/service failure it migrates the invocation to
-  the next replica, which is exactly the paper's "moving the job to another
-  resource"; the tool records the migration trail for the monitor.  With
-  per-replica circuit breakers attached, replicas whose circuit is open
-  are skipped outright — migration happens immediately instead of paying
-  another doomed send.
+  resources).  It runs the one failover walk (:mod:`repro.ws.failover`)
+  over them — the paper's "moving the job to another resource" — and
+  records the migration trail for the monitor.  With per-replica circuit
+  breakers attached, replicas whose circuit is open are skipped outright.
 """
 
 from __future__ import annotations
@@ -26,10 +24,10 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.clock import SYSTEM_CLOCK, Clock
-from repro.errors import (CircuitOpenError, DeadlineExceeded,
-                          EnactmentError, ServiceError, TransportError,
-                          WorkflowError)
+from repro.errors import (DeadlineExceeded, EnactmentError, ServiceError,
+                          TransportError, WorkflowError)
 from repro.obs import get_metrics
+from repro.ws import failover
 from repro.ws.breaker import CircuitBreaker
 from repro.ws.deadline import current_deadline
 from repro.workflow.model import Task, Tool
@@ -151,33 +149,20 @@ class ReplicatedServiceTool(Tool):
                 params[pname] = value
         for pname, value in parameters.items():
             params.setdefault(pname, value)
-        last_error: Exception | None = None
-        all_open = self.breakers is not None
-        for replica, proxy in enumerate(self.proxies):
-            breaker = self.breakers[replica] if self.breakers else None
-            if breaker is not None and not breaker.allow():
-                self._migrate(replica, "circuit open, skipped")
-                continue
-            all_open = False
-            try:
-                result = [proxy.call(self.operation, **params)]
-            except (TransportError, OSError) as exc:
-                if breaker is not None:
-                    breaker.record_failure()
-                last_error = exc
-                self._migrate(replica, f"failed: {exc!r}")
-            except ServiceError as exc:
-                # the replica answered with a fault: alive but unhelpful
-                if breaker is not None:
-                    breaker.record_success()
-                last_error = exc
-                self._migrate(replica, f"failed: {exc!r}")
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                return result
-        if all_open and last_error is None:
-            last_error = CircuitOpenError(
-                f"tool {self.name!r}: every replica's circuit is open")
-        raise EnactmentError(self.name,
-                             last_error or WorkflowError("no replicas"))
+        breakers = self.breakers or [None] * len(self.proxies)
+
+        def moved(replica: int, error: Exception | None) -> None:
+            self._migrate(replica, "circuit open, skipped"
+                          if error is None else f"failed: {error!r}")
+
+        def exhausted(error: Exception) -> Exception:
+            if failover.verdict_of(error) == failover.SHED:
+                return error  # every replica is alive and busy: back off
+            return EnactmentError(self.name, error)
+
+        return [failover.walk(
+            range(len(self.proxies)),
+            lambda replica: self.proxies[replica].call(self.operation,
+                                                       **params),
+            faults_end_walk=False, breaker_of=breakers.__getitem__,
+            moved=moved, exhausted=exhausted)]

@@ -10,6 +10,7 @@ from repro.ws.soap import (DEADLINE_FAULTCODE, MULTICALL_OP,
                            multicall_request)
 from repro.ws.deadline import Deadline, current_deadline, deadline_scope
 from repro.ws.breaker import CircuitBreaker
+from repro.ws import failover
 from repro.ws.admission import (AdmissionController, AdmissionHandler,
                                 Ticket, TokenBucket)
 from repro.ws.service import OperationInfo, ServiceDefinition, operation
@@ -62,7 +63,7 @@ __all__ = [
     "default_transport_interceptors", "default_proxy_interceptors",
     "default_server_handlers",
     "Deadline", "deadline_scope", "current_deadline", "apply_deadline",
-    "DEADLINE_FAULTCODE", "CircuitBreaker",
+    "DEADLINE_FAULTCODE", "CircuitBreaker", "failover",
     "payload", "PayloadRef", "PayloadStore", "PayloadMissError",
     "get_payload_store",
     "wsdl",

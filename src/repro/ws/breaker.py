@@ -5,20 +5,20 @@ moving the job to another resource") implies *noticing* a dead resource
 quickly.  Retries alone keep paying full timeouts against an endpoint that
 is down; a :class:`CircuitBreaker` remembers recent failures per endpoint
 and short-circuits further sends while the endpoint is presumed dead, so
-callers migrate to replicas immediately (see
-:class:`~repro.workflow.faults.ReplicatedServiceTool`).
+callers migrate to replicas immediately.  Which outcomes count as
+failures is not decided here: :func:`repro.ws.failover.settle` is the
+only caller of the ``record_*``/``release`` half of the protocol.
 
 Classic three-state machine:
 
 * **closed** — calls flow; ``failure_threshold`` *consecutive* failures
   trip the breaker.
 * **open** — every call fails fast with
-  :class:`~repro.errors.CircuitOpenError` (a :class:`TransportError`
-  subclass, so retry/migration machinery treats it as an unreachable
-  endpoint).  After ``cooldown_s`` on the injected clock the breaker moves
-  to half-open.
+  :class:`~repro.errors.CircuitOpenError`.  After ``cooldown_s`` on the
+  injected clock the breaker moves to half-open.
 * **half-open** — up to ``half_open_max`` probe calls are let through; a
-  success closes the breaker, a failure re-opens it for another cooldown.
+  success closes the breaker, a failure re-opens it for another cooldown,
+  and a probe that proved neither hands its slot back (``release``).
 
 State changes and fast-failures feed the metrics registry
 (``ws.breaker.state`` gauge, ``ws.breaker.transitions`` /
@@ -108,6 +108,11 @@ class CircuitBreaker:
             raise CircuitOpenError(
                 f"circuit open for {self.endpoint or 'endpoint'}: "
                 f"{what} failed fast (cooldown {self.cooldown_s}s)")
+
+    def release(self) -> None:
+        """Hand an admitted call's probe slot back with no health verdict."""
+        with self._lock:
+            self._probes_in_flight = max(0, self._probes_in_flight - 1)
 
     def record_success(self) -> None:
         """Note a successful call: closes the circuit."""

@@ -81,8 +81,6 @@ class ServiceProxy:
     makes the proxy fail fast
     (:class:`~repro.errors.CircuitOpenError`) while its endpoint is
     presumed dead, instead of paying a full transport timeout per call.
-    Only delivery failures (:class:`TransportError`/``OSError``) count
-    against the breaker — a SOAP fault proves the endpoint is alive.
     The breaker rides in the chain's ``breaker`` step
     (:class:`~repro.ws.pipeline.BreakerGate`).
     """

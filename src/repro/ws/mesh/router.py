@@ -2,11 +2,9 @@
 
 :class:`MeshRouter` is the gateway's forwarding engine.  For each call
 it asks discovery for the live replicas of the target service, ranks
-them with a pluggable :class:`RoutingPolicy`, and walks the ranked list
-until one replica answers — a delivery failure (or an open breaker)
-moves the call to the next *equivalent* replica, which is exactly the
-paper-era "complete the task by moving the job to another resource"
-requirement, automated.
+them with a pluggable :class:`RoutingPolicy`, and hands the ranking to
+the one failover walk (:func:`repro.ws.failover.walk`) — the paper-era
+"complete the task by moving the job to another resource", automated.
 
 Three policies ship:
 
@@ -33,18 +31,17 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 
 from repro.clock import SYSTEM_CLOCK, Clock
-from repro.errors import (DeadlineExceeded, OverloadedError,
-                          TransportError)
+from repro.errors import TransportError
 from repro.obs import get_metrics, get_tracer
+from repro.ws import failover
 from repro.ws.breaker import OPEN, CircuitBreaker
 from repro.ws.mesh.endpoints import MeshEndpoint, RegistryEndpoints
 from repro.ws.mesh.profile import ProfileBook
 from repro.ws.mesh.ring import ConsistentHashRing
 from repro.ws.registry import HEALTH_DOWN, HEALTH_UP
-from repro.ws.soap import SoapFault, SoapRequest, SoapResponse
+from repro.ws.soap import SoapRequest, SoapResponse
 from repro.ws.transport import (HttpTransport, parse_unix_url,
                                 transport_for)
 
@@ -168,11 +165,10 @@ class MeshRouter:
 
     The walk over the ranked candidates implements both *failover* (a
     send that dies mid-flight moves on) and *substitution* (an endpoint
-    whose breaker is open is skipped without paying a timeout).  A SOAP
-    fault stops the walk — the endpoint answered, so the service-level
-    error belongs to the caller.  An admission shed
-    (:class:`~repro.errors.OverloadedError`) tries the next replica
-    without a breaker penalty: an overloaded replica is alive.
+    whose breaker is open is skipped without paying a timeout).  An
+    answered fault stops the walk: service-level errors are the
+    caller's.  This class only adds its own bookkeeping per verdict —
+    cost profiles, registry health and the ``ws.mesh.*`` counters.
     """
 
     def __init__(self, discovery: RegistryEndpoints,
@@ -251,80 +247,52 @@ class MeshRouter:
             return 0
         return self.book.mine_spans(collector.spans())
 
-    def _note(self, endpoint: MeshEndpoint,
-              breaker: CircuitBreaker) -> None:
-        health = HEALTH_DOWN if breaker.state == OPEN else HEALTH_UP
-        self.discovery.note_health(endpoint.name, health)
-
     # -- the route -------------------------------------------------------
 
     def send(self, request: SoapRequest) -> SoapResponse:
         """Deliver *request* to some live replica of its service."""
         metrics = get_metrics()
-        endpoints = self.discovery.endpoints(request.service)
-        if not endpoints:
+
+        def unroutable(error: Exception) -> Exception:
             metrics.counter("ws.mesh.unroutable",
                             service=request.service).inc()
-            raise TransportError(
+            return error
+
+        endpoints = self.discovery.endpoints(request.service)
+        if not endpoints:
+            raise unroutable(TransportError(
                 f"no live replica of {request.service!r} in the mesh "
-                f"registry")
+                f"registry"))
         ranked = self.policy.rank(request.service, endpoints, request,
                                   self.book)
-        last_error: Exception | None = None
-        substituted = False
-        for endpoint in ranked:
-            breaker = self._breaker(endpoint.url)
-            if not breaker.allow():
-                # fast substitution: skip the presumed-dead replica
-                # without paying its timeout
-                substituted = True
-                continue
-            transport = self._transport(endpoint)
-            start = time.perf_counter()
-            try:
-                response = transport.send(request)
-            except DeadlineExceeded:
-                raise  # the budget is global; no replica can help
-            except OverloadedError as exc:
-                metrics.counter("ws.mesh.overloads",
-                                endpoint=endpoint.name).inc()
-                substituted = True
-                last_error = exc
-                continue
-            except SoapFault:
-                # the endpoint answered: service-level errors are the
-                # caller's, and the replica has proven itself alive
-                breaker.record_success()
-                self.book.observe(endpoint.url,
-                                  time.perf_counter() - start)
-                self._note(endpoint, breaker)
-                raise
-            except (TransportError, OSError) as exc:
-                breaker.record_failure()
+
+        def settled(endpoint, verdict, error, seconds) -> None:
+            if verdict == failover.SPENT:
+                return  # says nothing about the endpoint
+            if verdict == failover.UNREACHABLE:
                 self.book.observe_error(endpoint.url)
-                self._note(endpoint, breaker)
                 metrics.counter("ws.mesh.failovers",
                                 endpoint=endpoint.name).inc()
-                substituted = True
-                last_error = exc
-                continue
-            breaker.record_success()
-            self.book.observe(endpoint.url,
-                              time.perf_counter() - start)
-            self._note(endpoint, breaker)
-            metrics.counter("ws.mesh.routed",
-                            endpoint=endpoint.name).inc()
-            if substituted:
-                metrics.counter("ws.mesh.substitutions",
-                                service=request.service).inc()
-            return response
-        metrics.counter("ws.mesh.unroutable",
-                        service=request.service).inc()
-        if last_error is not None:
-            raise last_error
-        raise TransportError(
-            f"every live replica of {request.service!r} is "
-            f"circuit-open")
+            elif verdict == failover.SHED:
+                metrics.counter("ws.mesh.overloads",
+                                endpoint=endpoint.name).inc()
+            else:
+                self.book.observe(endpoint.url, seconds)
+            down = self._breaker(endpoint.url).state == OPEN
+            self.discovery.note_health(
+                endpoint.name, HEALTH_DOWN if down else HEALTH_UP)
+            if error is None:
+                metrics.counter("ws.mesh.routed",
+                                endpoint=endpoint.name).inc()
+                if endpoint is not ranked[0]:
+                    metrics.counter("ws.mesh.substitutions",
+                                    service=request.service).inc()
+
+        return failover.walk(
+            ranked, lambda endpoint: self._transport(endpoint).send(request),
+            faults_end_walk=True,
+            breaker_of=lambda endpoint: self._breaker(endpoint.url),
+            settled=settled, exhausted=unroutable)
 
     def close(self) -> None:
         """Release pooled transport connections."""

@@ -81,7 +81,7 @@ from repro.data import cache as datacache
 from repro.errors import (DeadlineExceeded, OverloadedError, ServiceError,
                           TransportError)
 from repro.obs import SpanContext, get_metrics, get_tracer
-from repro.ws import payload, shm, soap
+from repro.ws import failover, payload, shm, soap
 from repro.ws.deadline import current_deadline, deadline_scope
 from repro.ws.payload import PayloadMissError
 from repro.ws.soap import (DEADLINE_FAULTCODE, SoapFault, SoapRequest,
@@ -448,10 +448,9 @@ class ProxyDeadline(ClientInterceptor):
 class BreakerGate(ClientInterceptor):
     """Per-endpoint circuit breaking around the rest of the chain.
 
-    Only delivery failures (:class:`TransportError` / ``OSError``)
-    count against the breaker — a SOAP fault proves the endpoint is
-    alive, and a spent budget says nothing about endpoint health.
-    With no breaker configured the gate is a no-op.
+    Every admitted call settles the breaker exactly once, by the
+    verdict :mod:`repro.ws.failover` reads from its outcome.  With no
+    breaker configured the gate is a no-op.
     """
 
     name = "breaker"
@@ -465,17 +464,10 @@ class BreakerGate(ClientInterceptor):
         self.breaker.ensure_closed(f"{ctx.service}.{ctx.operation}")
         try:
             response = yield request
-        except (TransportError, OSError):
-            self.breaker.record_failure()
+        except Exception as exc:
+            failover.settle(self.breaker, failover.verdict_of(exc))
             raise
-        except DeadlineExceeded:
-            raise
-        except Exception:
-            # the endpoint answered (a fault is still an answer — an
-            # admission shed included: an overloaded endpoint is alive)
-            self.breaker.record_success()
-            raise
-        self.breaker.record_success()
+        failover.settle(self.breaker, failover.ANSWERED)
         return response
 
 

@@ -18,13 +18,11 @@ The helper is policy-only: it never touches sockets or envelopes itself
 imports (enforced by ``tools/layering_lint.py``) — fault injection
 belongs to the transport chains underneath.
 
-Overloaded replicas are *backpressure*, not death: a dispatch that
-raises :class:`~repro.errors.OverloadedError` (the server's admission
-control shed the chunk) re-queues its chunk, halves the endpoint's
-next bite, and backs off for the server's ``Retry-After`` hint before
-taking more work — the shed propagates through the scatter plane as a
-slowdown instead of a migration.  Only ``max_overloads`` *consecutive*
-sheds from one endpoint demote it to the failure path.
+A failed dispatch is read by :func:`repro.ws.failover.verdict_of`.  A
+shed is *backpressure*, not death: the chunk is re-queued, the
+endpoint's next bite halved, and the worker backs off for the server's
+``Retry-After`` hint — a slowdown instead of a migration, until
+``max_overloads`` *consecutive* sheds demote the endpoint to dead.
 
 Metrics: ``ws.scatter.rebalance`` counts chunk migrations off dead
 endpoints; ``ws.scatter.backpressure`` counts overload backoffs.
@@ -39,9 +37,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.clock import SYSTEM_CLOCK, Clock
-from repro.errors import (OverloadedError, ServiceError, TransportError,
-                          WorkflowError)
+from repro.errors import DeadlineExceeded, WorkflowError
 from repro.obs import get_metrics
+from repro.ws import failover
 from repro.ws.admission import DEFAULT_RETRY_HINT_S
 from repro.ws.deadline import current_deadline
 
@@ -49,20 +47,6 @@ from repro.ws.deadline import current_deadline
 DEFAULT_CHUNK = 64
 
 _default_chunk = DEFAULT_CHUNK
-
-#: Failures that mark an endpoint dead and migrate its chunk; the same
-#: set the grid fold-migration path has always used.
-MIGRATE_ERRORS = (TransportError, ServiceError, OSError)
-
-
-class _CheckpointFailed(Exception):
-    """Internal sentinel: the ``on_chunk`` callback raised.
-
-    The original exception is already queued on the run's ``fatal``
-    list; this wrapper only exists so the worker's migrate/backpressure
-    handlers cannot mistake a checkpoint failure (which may well be an
-    :class:`OSError`) for an endpoint death.
-    """
 
 
 def set_default_chunk(size: int) -> None:
@@ -149,9 +133,9 @@ class ScatterGather:
     ``run(items, dispatch)`` drives one worker thread per endpoint;
     each repeatedly takes the next chunk off a shared queue and calls
     ``dispatch(endpoint, chunk_items, indices)``, which must return one
-    result per item (in chunk order).  A dispatch that raises one of
-    :data:`MIGRATE_ERRORS` kills its endpoint and re-queues the chunk
-    for the survivors.  Chunk sizes start at *chunk* and adapt per
+    result per item (in chunk order).  A dead endpoint's worker exits
+    and its chunk is re-queued for the survivors, who stay until nothing
+    is pending or in flight.  Chunk sizes start at *chunk* and adapt per
     endpoint: an EWMA of observed per-item seconds aims each dispatch
     at *target_chunk_s* of work, clamped to ``[min_chunk, max_chunk]``.
     An ambient deadline (captured at ``run`` time — worker threads do
@@ -224,113 +208,104 @@ class ScatterGather:
         items = list(items)
         results: list = [None] * len(items)
         pending = deque(range(len(items)))
-        dead: set[int] = set()
+        handoffs = [0] * len(items)  # times a dead endpoint gave it back
+        in_flight = 0
         errors: list[Exception] = []
         fatal: list[Exception] = []
         dispatches: list[ChunkDispatch] = []
-        lock = threading.Lock()
+        lock = threading.Condition()
         deadline = current_deadline()
 
-        def take(endpoint: int) -> list[int]:
-            with lock:
-                if not pending:
-                    return []
-                size = min(self.chunk_for(endpoint), len(pending))
-                return [pending.popleft() for _ in range(size)]
+        def book(endpoint: int, indices: list[int], out, elapsed: float,
+                 error: Exception | None) -> float | None:
+            """Record one dispatch (lock held); returns the seconds to
+            back off before the next, ``None`` if the worker exits.
 
-        def attempt(endpoint: int, indices: list[int],
-                    attempts: int) -> None:
-            chunk_items = [items[i] for i in indices]
-            start = time.perf_counter()
-            out = dispatch(endpoint, chunk_items, list(indices))
-            elapsed = time.perf_counter() - start
-            if out is None or len(out) != len(indices):
-                got = len(out) if out is not None else "no"
-                raise WorkflowError(
-                    f"{self.name} dispatch returned {got} result(s) "
-                    f"for {len(indices)} item(s)")
-            with lock:
+            An incomplete chunk is re-queued whatever the verdict.  A
+            shed earns smaller bites after a backoff; an endpoint that
+            is unreachable, answers with a service fault, or sheds
+            beyond patience or past the budget is dead to this run;
+            anything else (budget spent, contract broken) is fatal.
+            """
+            state = self._states[endpoint]
+            if error is None:
                 if on_chunk is not None:
-                    # before the chunk is recorded: a callback failure
-                    # (e.g. the checkpoint store's disk is gone) must
-                    # leave the chunk un-done so the caller's failure
-                    # path re-queues it
+                    # before the chunk is recorded: a checkpoint that
+                    # did not happen must leave it un-done, and is never
+                    # an endpoint death however the failure is spelled
                     try:
                         on_chunk(endpoint, list(indices), list(out))
                     except Exception as exc:
+                        pending.extendleft(reversed(indices))
                         fatal.append(exc)
-                        for i in reversed(indices):
-                            pending.appendleft(i)
-                        raise _CheckpointFailed() from exc
+                        return None
                 for i, value in zip(indices, out):
                     results[i] = value
-                self._states[endpoint].observe(
-                    elapsed / max(1, len(indices)))
-                self._states[endpoint].consecutive_overloads = 0
+                state.observe(elapsed / max(1, len(indices)))
+                state.consecutive_overloads = 0
+                attempts = 1 + max(handoffs[i] for i in indices)
                 dispatches.append(ChunkDispatch(
                     endpoint, tuple(indices), attempts=attempts,
                     migrated=attempts > 1, seconds=elapsed))
-
-        def fail(endpoint: int, indices: list[int],
-                 exc: Exception) -> None:
-            with lock:
-                for i in reversed(indices):
-                    pending.appendleft(i)  # migrate the chunk
-                dead.add(endpoint)
-                errors.append(exc)
-                dispatches.append(ChunkDispatch(
-                    endpoint, tuple(indices), migrated=True,
-                    completed=False))
+                return 0.0
+            pending.extendleft(reversed(indices))
+            verdict = failover.verdict_of(error)
+            if verdict == failover.SHED:
+                get_metrics().counter("ws.scatter.backpressure").inc()
+                if self._note_overload(endpoint) <= self.max_overloads:
+                    pause = error.retry_after_s or DEFAULT_RETRY_HINT_S
+                    if deadline is None or deadline.remaining() > pause:
+                        return pause
+                    error = DeadlineExceeded(
+                        f"{self.name}: {pause:.3f}s overload backoff "
+                        f"exceeds the remaining budget")
+            elif failover.stops(verdict, error, faults_end_walk=False):
+                fatal.append(error)
+                return None
+            errors.append(error)
+            for i in indices:
+                handoffs[i] += 1
+            dispatches.append(ChunkDispatch(
+                endpoint, tuple(indices), migrated=True, completed=False))
             get_metrics().counter("ws.scatter.rebalance").inc()
-
-        def backpressure(endpoint: int, indices: list[int],
-                         exc: OverloadedError) -> bool:
-            """Absorb one shed; ``False`` once patience is exhausted.
-
-            The chunk goes back on the queue either way — an overloaded
-            replica never loses work, it just gets smaller bites after
-            a backoff.
-            """
-            with lock:
-                for i in reversed(indices):
-                    pending.appendleft(i)
-                overloads = self._note_overload(endpoint)
-            get_metrics().counter("ws.scatter.backpressure").inc()
-            if overloads > self.max_overloads:
-                with lock:
-                    dead.add(endpoint)
-                    errors.append(exc)
-                    dispatches.append(ChunkDispatch(
-                        endpoint, tuple(indices), migrated=True,
-                        completed=False))
-                get_metrics().counter("ws.scatter.rebalance").inc()
-                return False
-            self.clock.sleep(exc.retry_after_s or DEFAULT_RETRY_HINT_S)
-            return True
+            return None
 
         def worker(endpoint: int) -> None:
+            nonlocal in_flight
             while True:
-                if deadline is not None and deadline.expired:
-                    return  # stop taking work; the join-side check raises
-                indices = take(endpoint)
-                if not indices:
-                    return
+                with lock:
+                    # an idle worker stays while any chunk is in flight:
+                    # a peer that dies hands its chunk back, and somebody
+                    # has to be left to pick it up
+                    while not pending and in_flight and not fatal:
+                        lock.wait()
+                    if not pending or fatal or (
+                            deadline is not None and deadline.expired):
+                        return  # the join-side checks raise
+                    in_flight += 1
+                    size = min(self.chunk_for(endpoint), len(pending))
+                    indices = [pending.popleft() for _ in range(size)]
+                out, error = None, None
+                start = time.perf_counter()
                 try:
-                    attempt(endpoint, indices, attempts=1)
-                except _CheckpointFailed:
-                    return  # original exception already on `fatal`
-                except OverloadedError as exc:
-                    if not backpressure(endpoint, indices, exc):
-                        return  # saturated beyond patience: migrate
-                except MIGRATE_ERRORS as exc:
-                    fail(endpoint, indices, exc)
-                    return  # this endpoint is done for
-                except Exception as exc:  # dispatch contract broken
-                    with lock:
-                        fatal.append(exc)
-                        for i in reversed(indices):
-                            pending.appendleft(i)
+                    out = dispatch(endpoint, [items[i] for i in indices],
+                                   list(indices))
+                    if out is None or len(out) != len(indices):
+                        got = len(out) if out is not None else "no"
+                        raise WorkflowError(
+                            f"{self.name} dispatch returned {got} "
+                            f"result(s) for {len(indices)} item(s)")
+                except Exception as exc:
+                    error = exc
+                with lock:
+                    in_flight -= 1
+                    lock.notify_all()
+                    pause = book(endpoint, indices, out,
+                                 time.perf_counter() - start, error)
+                if pause is None:
                     return
+                if pause:
+                    self.clock.sleep(pause)
 
         threads = [threading.Thread(target=worker, args=(i,),
                                     name=f"{self.name}-worker-{i}")
@@ -341,29 +316,14 @@ class ScatterGather:
             t.join()
         if fatal:
             raise fatal[0]
-        if pending and deadline is not None:
-            deadline.check(self.name)
         if pending:
-            # chunks migrated after every other worker already exited:
-            # drain them on the surviving endpoints, chunk at a time
-            survivors = [i for i in range(self.n_endpoints)
-                         if i not in dead]
-            while pending:
-                if not survivors:
-                    raise WorkflowError(
-                        f"{len(pending)} {self.name} item(s) "
-                        f"undispatchable: all {self.n_endpoints} "
-                        f"endpoint(s) died ({errors[0]!r})")
-                endpoint = survivors[0]
-                indices = take(endpoint)
-                try:
-                    attempt(endpoint, indices, attempts=2)
-                except _CheckpointFailed:
-                    raise fatal[0]
-                except OverloadedError as exc:
-                    if not backpressure(endpoint, indices, exc):
-                        survivors.pop(0)
-                except MIGRATE_ERRORS as exc:
-                    fail(endpoint, indices, exc)
-                    survivors.pop(0)
+            if deadline is not None:
+                deadline.check(self.name)
+            for exc in errors:
+                if failover.verdict_of(exc) == failover.SPENT:
+                    raise exc
+            raise WorkflowError(
+                f"{len(pending)} {self.name} item(s) undispatchable: "
+                f"all {self.n_endpoints} endpoint(s) died "
+                f"({errors[0]!r})")
         return ScatterReport(results=results, dispatches=dispatches)

@@ -112,3 +112,43 @@ class TestBreakerMetrics:
         assert get_metrics().counter(
             "ws.breaker.fast_failures",
             endpoint=breaker.endpoint).value == 3
+
+
+class TestProbeSlotAlwaysComesBack:
+    """A half-open probe that proves nothing (the caller ran out of
+    budget) must hand its slot back, or the breaker fast-fails a
+    possibly healthy endpoint for good."""
+
+    def test_spent_probe_behind_the_gate_does_not_wedge_the_breaker(self):
+        from repro.errors import DeadlineExceeded, TransportError
+        from repro.ws.pipeline import BreakerGate, CallContext, run_chain
+        from repro.ws.soap import SoapRequest, SoapResponse
+
+        breaker, clock = make_breaker(failure_threshold=1, cooldown_s=10)
+        script = [TransportError("down"), DeadlineExceeded("spent"), "ok"]
+
+        def terminal(request):
+            action = script.pop(0)
+            if isinstance(action, Exception):
+                raise action
+            return SoapResponse(request.service, request.operation, action)
+
+        def call():
+            return run_chain([BreakerGate(breaker)], SoapRequest("S", "op"),
+                             CallContext("test", service="S",
+                                         operation="op"), terminal)
+
+        with pytest.raises(TransportError):
+            call()                      # trips the breaker
+        assert breaker.state == OPEN
+        clock.advance(11)               # cooldown over: one probe allowed
+        with pytest.raises(DeadlineExceeded):
+            call()                      # the probe says nothing of health
+        assert breaker.state == HALF_OPEN
+        assert call().result == "ok"    # ... so the next call is a probe
+        assert breaker.state == CLOSED
+
+    def test_release_is_a_no_op_on_a_closed_breaker(self):
+        breaker, _ = make_breaker()
+        breaker.release()
+        assert breaker.state == CLOSED and breaker.allow()

@@ -180,6 +180,39 @@ class TestRouterWalk:
         # no penalty: a is still routable on the next rotation
         assert router.send(REQ).result == "A2"
 
+    def test_shed_probe_does_not_wedge_the_breaker(self):
+        """A half-open probe that is shed proved the replica alive: it
+        must be dialled again and fed back to the registry as ``up``."""
+        clock = FakeClock()
+        router, discovery, transports = make_router(
+            {"w0": [TransportError("down"), OverloadedError("busy")],
+             "w1": []},
+            policy=FixedPolicy(), breaker_failure_threshold=1,
+            breaker_cooldown_s=5.0, clock=clock)
+        router.send(REQ)            # w0 dies: breaker opens, w1 answers
+        assert discovery.health["w0"] == HEALTH_DOWN
+        clock.advance(6.0)
+        router.send(REQ)            # the half-open probe is shed
+        assert discovery.health["w0"] == HEALTH_UP
+        dialled = transports["w0"].sends
+        router.send(REQ)
+        assert transports["w0"].sends == dialled + 1
+        assert transports["w1"].sends == 2
+
+    def test_spent_probe_does_not_wedge_the_breaker(self):
+        clock = FakeClock()
+        router, _, transports = make_router(
+            {"w0": [TransportError("down"), DeadlineExceeded("spent"),
+                    "back"]},
+            breaker_failure_threshold=1, breaker_cooldown_s=5.0,
+            clock=clock)
+        with pytest.raises(TransportError):
+            router.send(REQ)
+        clock.advance(6.0)
+        with pytest.raises(DeadlineExceeded):
+            router.send(REQ)        # the probe ran out of budget
+        assert router.send(REQ).result == "back"
+
     def test_deadline_exceeded_propagates_immediately(self):
         router, _, transports = make_router(
             {"a": [DeadlineExceeded("spent")], "b": ["never"]})

@@ -224,6 +224,57 @@ class TestJobMigration:
         assert out.startswith("42")
         assert tool.migrations == []
 
+    @staticmethod
+    def scripted_tool(*scripts):
+        """A tool over fake proxies, each raising/returning its script
+        entry, with one threshold-1 breaker per replica."""
+        from repro.ws.breaker import CircuitBreaker
+
+        class Scripted:
+            def __init__(self, action):
+                self.action = action
+
+            def call(self, operation, **params):
+                if isinstance(self.action, Exception):
+                    raise self.action
+                return self.action
+
+        breakers = [CircuitBreaker(f"inproc://r{i}", failure_threshold=1,
+                                   clock=FakeClock())
+                    for i in range(len(scripts))]
+        tool = ReplicatedServiceTool(
+            "Scripted", [Scripted(s) for s in scripts], "answer",
+            ["question"], breakers=breakers)
+        return tool, breakers
+
+    def test_shed_tries_the_next_replica(self):
+        from repro.errors import OverloadedError
+        from repro.obs import get_metrics
+        tool, breakers = self.scripted_tool(
+            OverloadedError("busy", retry_after_s=0.5), "42")
+        assert tool.run(["why"], {}) == ["42"]
+        assert [replica for replica, _ in tool.migrations] == [0]
+        assert breakers[0].state == "closed"
+        assert get_metrics().counter(
+            "ws.breaker.successes", endpoint="inproc://r0").value == 1
+
+    def test_every_replica_shed_backs_off_not_fails(self):
+        from repro.errors import OverloadedError
+        tool, _ = self.scripted_tool(
+            OverloadedError("busy", retry_after_s=0.5),
+            OverloadedError("busy", retry_after_s=0.2),
+            OverloadedError("busy"))
+        with pytest.raises(OverloadedError) as exc_info:
+            tool.run(["why"], {})
+        assert exc_info.value.retry_after_s == pytest.approx(0.2)
+
+    def test_a_shed_beside_a_dead_replica_is_still_a_failure(self):
+        from repro.errors import OverloadedError
+        tool, _ = self.scripted_tool(OverloadedError("busy"),
+                                     TransportError("gone"))
+        with pytest.raises(EnactmentError, match="gone"):
+            tool.run(["why"], {})
+
     def test_needs_at_least_one_replica(self):
         from repro.errors import WorkflowError
         with pytest.raises(WorkflowError):

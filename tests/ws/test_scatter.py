@@ -141,6 +141,67 @@ class TestMigration:
         assert all(d.endpoint == 1 for d in salvaged)
 
 
+    def test_requeued_chunk_is_marked_migrated_whoever_takes_it(self):
+        """A survivor with nothing left to do stays while its peer is
+        in flight, picks the dead peer's chunk up inside the one
+        dispatch loop, and the books say so."""
+        sg = ScatterGather(2, chunk=2)
+        zero_started, one_finished = threading.Event(), threading.Event()
+
+        def dispatch(endpoint, chunk_items, indices):
+            if endpoint == 0:
+                zero_started.set()
+                one_finished.wait(5)  # die only once the peer is done
+                raise TransportError("slow death")
+            zero_started.wait(5)      # leave endpoint 0 a chunk to take
+            return list(chunk_items)
+
+        report = sg.run(list(range(4)), dispatch,
+                        on_chunk=lambda e, idx, out: one_finished.set())
+        assert report.results == list(range(4))
+        [dead] = [d for d in report.dispatches if not d.completed]
+        [salvaged] = [d for d in report.dispatches
+                      if d.completed and d.indices == dead.indices]
+        assert salvaged.endpoint == 1
+        assert salvaged.migrated and salvaged.attempts == 2
+        assert all(not d.migrated for d in report.dispatches
+                   if d.completed and d is not salvaged)
+
+    def test_busy_survivor_marks_the_chunk_it_inherits(self):
+        sg = ScatterGather(2, chunk=2, min_chunk=2, max_chunk=2)
+        zero_dead = threading.Event()
+
+        def dispatch(endpoint, chunk_items, indices):
+            if endpoint == 0:
+                zero_dead.set()
+                raise TransportError("dies on its first chunk")
+            zero_dead.wait(5)
+            return list(chunk_items)
+
+        report = sg.run(list(range(12)), dispatch)
+        [dead] = [d for d in report.dispatches if not d.completed]
+        [salvaged] = [d for d in report.dispatches
+                      if d.completed and d.indices == dead.indices]
+        assert salvaged.migrated and salvaged.attempts == 2
+
+    def test_service_fault_migrates_but_a_bug_is_fatal(self):
+        from repro.errors import ServiceError
+        sg = ScatterGather(2, chunk=2)
+
+        def faulty(endpoint, chunk_items, indices):
+            if endpoint == 0:
+                raise ServiceError("replica 0 cannot do this")
+            return list(chunk_items)
+
+        assert sg.run(list(range(6)), faulty).results == list(range(6))
+
+        def buggy(endpoint, chunk_items, indices):
+            raise KeyError("no such column")
+
+        with pytest.raises(KeyError):
+            ScatterGather(2, chunk=2).run(list(range(6)), buggy)
+
+
 class TestBackpressure:
     """Overloaded replicas slow down instead of dying: sheds requeue
     the chunk, halve the bite, and back off on the injectable clock."""
@@ -197,6 +258,40 @@ class TestBackpressure:
         assert report.rebalances == 1
         assert obs.get_metrics().counter(
             "ws.scatter.rebalance").value == 1
+
+    def test_backoff_never_sleeps_past_the_deadline(self):
+        """A 5 s Retry-After inside a 1 s budget cannot be waited out:
+        stop taking work and fail now, like RetryPolicy's backoff."""
+        from repro.clock import FakeClock
+        from repro.errors import OverloadedError
+        from repro.ws.deadline import Deadline
+        clock = FakeClock()
+        sg = ScatterGather(1, chunk=4, clock=clock)
+
+        def dispatch(endpoint, chunk_items, indices):
+            raise OverloadedError("busy", retry_after_s=5.0)
+
+        with deadline_scope(Deadline.after(1.0, clock)):
+            with pytest.raises(DeadlineExceeded, match="backoff"):
+                sg.run(list(range(8)), dispatch)
+        assert 5.0 not in clock.sleeps
+
+    def test_a_peer_inside_the_budget_finishes_the_run(self):
+        from repro.clock import FakeClock
+        from repro.errors import OverloadedError
+        from repro.ws.deadline import Deadline
+        clock = FakeClock()
+        sg = ScatterGather(2, chunk=2, clock=clock)
+
+        def dispatch(endpoint, chunk_items, indices):
+            if endpoint == 0:
+                raise OverloadedError("busy", retry_after_s=5.0)
+            return list(chunk_items)
+
+        with deadline_scope(Deadline.after(1.0, clock)):
+            report = sg.run(list(range(8)), dispatch)
+        assert report.results == list(range(8))
+        assert clock.sleeps == []
 
     def test_success_resets_the_patience_counter(self):
         from repro.clock import FakeClock

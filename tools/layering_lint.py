@@ -24,10 +24,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
-#: module path → import prefixes it must not touch.  The movers
-#: (`transport`, `httpd`) may not observe, break circuits, or inject
-#: chaos — those concerns live in chain steps only; the client keeps a
-#: narrow obs exception for its WSDL-fetch cache counters.
+#: module path (or package prefix ending in "/": every module in it,
+#: so a new one is covered the day it is added) → import prefixes it
+#: must not touch.  The movers (`transport`, `httpd`) may not observe,
+#: break circuits, or inject chaos — those concerns live in chain steps
+#: only; the client keeps a narrow obs exception for its WSDL-fetch
+#: cache counters.
 RULES: dict[str, tuple[str, ...]] = {
     "src/repro/ws/transport.py": ("repro.obs", "repro.ws.breaker",
                                   "repro.chaos", "repro.ws.scatter",
@@ -71,14 +73,13 @@ RULES: dict[str, tuple[str, ...]] = {
     # forks workers, fronts the fleet.  Faults are injected by the
     # chaos chain steps inside each worker, never by the mesh itself,
     # and model mathematics never leaks up into routing decisions.
-    "src/repro/ws/mesh/ring.py": ("repro.chaos", "repro.ml"),
-    "src/repro/ws/mesh/profile.py": ("repro.chaos", "repro.ml"),
-    "src/repro/ws/mesh/endpoints.py": ("repro.chaos", "repro.ml"),
-    "src/repro/ws/mesh/router.py": ("repro.chaos", "repro.ml"),
-    "src/repro/ws/mesh/worker.py": ("repro.chaos", "repro.ml"),
-    "src/repro/ws/mesh/supervisor.py": ("repro.chaos", "repro.ml"),
-    "src/repro/ws/mesh/gateway.py": ("repro.chaos", "repro.ml"),
-    "src/repro/ws/mesh/host.py": ("repro.chaos", "repro.ml"),
+    "src/repro/ws/mesh/": ("repro.chaos", "repro.ml"),
+    # failover is pure policy: it reads exceptions, settles breakers
+    # and walks candidates.  The caller's callback moves the bytes, so
+    # it never needs a transport, a server, an envelope — or chaos.
+    "src/repro/ws/failover.py": ("repro.chaos", "repro.ws.transport",
+                                 "repro.ws.httpd", "repro.ws.aserve",
+                                 "repro.ws.soap"),
     # the vectorised model kernels score matrices; shipping those
     # matrices is the services/ws layers' business, never theirs
     "src/repro/ml/base.py": ("repro.ws", "repro.services"),
@@ -114,19 +115,37 @@ def check(path: str, forbidden: tuple[str, ...]) -> list[str]:
     return problems
 
 
+def governed(rule: str) -> list[str]:
+    """The module paths one rule key governs: itself, or — for a
+    package prefix ending in ``/`` — every module in that package."""
+    if not rule.endswith("/"):
+        return [rule]
+    return sorted(str(path.relative_to(REPO))
+                  for path in (REPO / rule).glob("*.py"))
+
+
+def forbidden_for(path: str) -> tuple[str, ...]:
+    """Every import prefix some rule bans for the module at *path*."""
+    return tuple(banned for rule, forbidden in RULES.items()
+                 if path in governed(rule) for banned in forbidden)
+
+
 def main() -> int:
     failures: list[str] = []
-    for path, forbidden in sorted(RULES.items()):
-        if not (REPO / path).exists():
-            failures.append(f"{path}: module missing (lint rules stale?)")
+    count = 0
+    for rule, forbidden in sorted(RULES.items()):
+        paths = governed(rule)
+        if not paths or not all((REPO / p).exists() for p in paths):
+            failures.append(f"{rule}: module missing (lint rules stale?)")
             continue
-        failures.extend(check(path, forbidden))
+        for path in paths:
+            failures.extend(check(path, forbidden))
+        count += len(paths)
     if failures:
         print("layering violations:", file=sys.stderr)
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 1
-    count = len(RULES)
     print(f"layering lint: {count} modules clean")
     return 0
 
