@@ -14,10 +14,12 @@ not supported (WEKA 3.4 did not emit them either).
 from __future__ import annotations
 
 import io
-from typing import Iterator, TextIO
+from typing import Iterator, Sequence, TextIO
+
+import numpy as np
 
 from repro.data import cache
-from repro.data.attribute import Attribute
+from repro.data.attribute import MISSING, Attribute
 from repro.data.dataset import Dataset
 from repro.errors import ArffParseError
 
@@ -51,6 +53,50 @@ def _split_csv_line(line: str, line_no: int) -> list[str]:
         raise ArffParseError("unterminated quote", line_no)
     fields.append("".join(buf).strip())
     return fields
+
+
+def _split_plain_line(line: str) -> list[str]:
+    """:func:`_split_csv_line` for a line with no quote character in it."""
+    return [field.strip() for field in line.split(",")]
+
+
+def _encode_column(attr: Attribute, tokens: Sequence[str]) -> list[float]:
+    """Encode one column of plain tokens; a token :meth:`Attribute.encode`
+    would reject raises ``KeyError``/``ValueError``."""
+    if attr.is_nominal:
+        cell = {value: float(i) for i, value in enumerate(attr.values)}
+        cell["?"] = cell[""] = MISSING
+        return [cell[token] for token in tokens]
+    if attr.is_numeric:
+        return [MISSING if token in ("?", "") else float(token)
+                for token in tokens]
+    return [attr.encode(token) for token in tokens]
+
+
+def _add_plain_rows(dataset: Dataset,
+                    pending: list[tuple[int, list[str]]]) -> None:
+    """Append the dense, quote-free rows collected so far, encoding them
+    column by column; a bad cell replays them through ``add_row`` so the
+    error names the line the row-by-row reader would have named."""
+    if not pending:
+        return
+    columns = zip(*(fields for _, fields in pending))
+    try:
+        cells = [_encode_column(attr, column)
+                 for attr, column in zip(dataset.attributes, columns)]
+    except (KeyError, ValueError):
+        for line_no, fields in pending:
+            _add_row(dataset, fields, line_no)
+    else:
+        dataset._bulk_extend(np.array(cells).T)
+    pending.clear()
+
+
+def _add_row(dataset: Dataset, fields: list[str], line_no: int) -> None:
+    try:
+        dataset.add_row(fields)
+    except Exception as exc:  # re-raise with position info
+        raise ArffParseError(str(exc), line_no) from exc
 
 
 def _parse_nominal_spec(spec: str, line_no: int) -> list[str]:
@@ -163,6 +209,7 @@ def load(fp: TextIO, class_attribute: str | None = None) -> Dataset:
     attributes: list[Attribute] = []
     dataset: Dataset | None = None
     in_data = False
+    pending: list[tuple[int, list[str]]] = []  # dense quote-free rows
     for line_no, raw in enumerate(fp, start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -186,20 +233,27 @@ def load(fp: TextIO, class_attribute: str | None = None) -> Dataset:
                                      line_no)
             continue
         assert dataset is not None
-        if line.startswith("{"):
+        sparse = line.startswith("{")
+        plain = not sparse and "'" not in line and '"' not in line
+        if not plain:  # rows keep their order (string tables, first error)
+            _add_plain_rows(dataset, pending)
+        if sparse:
             dataset.add(_parse_sparse_row(line, dataset, line_no))
             continue
-        fields = _split_csv_line(line, line_no)
+        fields = _split_plain_line(line) if plain \
+            else _split_csv_line(line, line_no)
         if len(fields) != dataset.num_attributes:
+            _add_plain_rows(dataset, pending)
             raise ArffParseError(
                 f"row has {len(fields)} fields, expected "
                 f"{dataset.num_attributes}", line_no)
-        try:
-            dataset.add_row([_unquote(f) for f in fields])
-        except Exception as exc:  # re-raise with position info
-            raise ArffParseError(str(exc), line_no) from exc
+        if plain:
+            pending.append((line_no, fields))
+        else:
+            _add_row(dataset, [_unquote(f) for f in fields], line_no)
     if dataset is None:
         raise ArffParseError("document has no @data section")
+    _add_plain_rows(dataset, pending)
     if class_attribute is not None:
         dataset.set_class(class_attribute)
     return dataset

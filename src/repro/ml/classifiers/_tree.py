@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,24 +31,75 @@ def entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def split_entropy(branch_counts: list[np.ndarray]) -> float:
-    """Weighted average entropy after a split."""
-    total = sum(float(c.sum()) for c in branch_counts)
-    if total <= 0:
-        return 0.0
-    return sum(float(c.sum()) / total * entropy(c) for c in branch_counts)
+def entropy_rows(table: np.ndarray) -> np.ndarray:
+    """:func:`entropy` of every row of a 2-D count table, bit for bit.
+
+    Zero cells stay in place: a running sum (``cumsum``) passes over them
+    unchanged, and ``ndarray.sum`` is that same left-to-right sum while a
+    row has under eight positive cells.  Wider rows go through ``entropy``.
+    """
+    totals = table.sum(axis=1)
+    p = table / np.where(totals > 0, totals, 1.0)[:, None]
+    positive = p > 0
+    terms = p * np.log2(p, out=np.zeros_like(p), where=positive)
+    out = np.where(totals > 0, -np.cumsum(terms, axis=1)[:, -1], 0.0)
+    if table.shape[1] >= 8:
+        for row in np.flatnonzero(positive.sum(axis=1) >= 8):
+            out[row] = entropy(table[row])
+    return out
 
 
-def info_gain(parent_counts: np.ndarray,
-              branch_counts: list[np.ndarray]) -> float:
-    """Information gain of a split."""
-    return entropy(parent_counts) - split_entropy(branch_counts)
+def cell_codes(block: np.ndarray, n_values: Sequence[int],
+               classes: np.ndarray, n_classes: int
+               ) -> tuple[np.ndarray, list[int]]:
+    """Offset-code a block of nominal columns for :func:`contingency`.
+
+    Column ``j`` owns one table row (*cell*) per value, from ``starts[j]``
+    on; an observation's code is ``cell * n_classes + class``, or -1 where
+    the value is missing.  Returns ``(codes, starts)``, ``starts[-1]``
+    being the cell count.
+    """
+    starts = [0, *np.cumsum(n_values, dtype=int).tolist()]
+    cells = np.nan_to_num(block).astype(int) + starts[:-1]
+    return np.where(np.isnan(block), -1,
+                    cells * n_classes + classes[:, None]), starts
 
 
-def split_info(branch_counts: list[np.ndarray]) -> float:
-    """Intrinsic information of the partition (gain-ratio denominator)."""
-    sizes = np.array([float(c.sum()) for c in branch_counts])
-    return entropy(sizes)
+def contingency(codes: np.ndarray, weights: np.ndarray, n_cells: int,
+                n_classes: int) -> np.ndarray:
+    """Weighted ``(cell, class)`` contingency table, the one counting
+    primitive of the tree and rule learners: one pass counts any number of
+    attributes, and ``bincount`` adds the weights in input order, so each
+    count equals a ``table[cell, class] += weight`` loop to the last bit."""
+    return np.bincount(codes, weights=weights,
+                       minlength=n_cells * n_classes
+                       ).reshape(n_cells, n_classes)
+
+
+def split_entropy(table: np.ndarray,
+                  starts: Sequence[int] = (0,)) -> np.ndarray:
+    """Weighted average entropy after each split of a stacked table: rows
+    ``starts[i]:starts[i + 1]`` are the branches of split ``i`` (one
+    attribute's values); one result per split."""
+    blocks = list(zip(starts, (*starts[1:], len(table))))
+    sizes = table.sum(axis=1)
+    size_list = sizes.tolist()
+    totals = [sum(size_list[s:e]) or 1.0 for s, e in blocks]
+    per_row = np.repeat(totals, [e - s for s, e in blocks])
+    weighted = (sizes / per_row * entropy_rows(table)).tolist()
+    return np.array([sum(weighted[s:e]) for s, e in blocks])
+
+
+def info_gain(parent_counts: np.ndarray, table: np.ndarray,
+              starts: Sequence[int] = (0,)) -> np.ndarray:
+    """Information gain of each split of a stacked table."""
+    return entropy(parent_counts) - split_entropy(table, starts)
+
+
+def split_info(table: np.ndarray) -> float:
+    """Intrinsic information of one split's partition (the gain-ratio
+    denominator); *table* holds that split's branches only."""
+    return entropy(table.sum(axis=1))
 
 
 @dataclass

@@ -16,8 +16,9 @@ from repro.data.dataset import Dataset
 from repro.data.instance import Instance
 from repro.errors import DataError
 from repro.ml.base import CLASSIFIERS, Classifier
-from repro.ml.classifiers._tree import (TreeNode, graph_to_dot, info_gain,
-                                        render_text, tree_graph)
+from repro.ml.classifiers._tree import (TreeNode, cell_codes, contingency,
+                                        graph_to_dot, info_gain, render_text,
+                                        tree_graph)
 
 
 @CLASSIFIERS.register("Id3", "tree", "nominal-only")
@@ -43,44 +44,48 @@ class Id3(Classifier):
         self._w = dataset.weights()
         self._n_classes = dataset.num_classes
         self._attrs = dataset.attributes
+        self._others = [i for i in range(len(self._attrs))
+                        if i != dataset.class_index]
+        self._codes, self._starts = cell_codes(
+            matrix[:, self._others],
+            [self._attrs[i].num_values for i in self._others],
+            self._y, self._n_classes)
         rows = np.arange(matrix.shape[0])
-        self.root = self._build(rows, frozenset({dataset.class_index}))
-        del self._matrix, self._y, self._w
+        counts = np.bincount(self._y, weights=self._w,
+                             minlength=self._n_classes)
+        self.root = self._build(rows, frozenset({dataset.class_index}),
+                                counts)
+        del self._matrix, self._y, self._w, self._codes
 
-    def _counts(self, rows: np.ndarray) -> np.ndarray:
-        counts = np.zeros(self._n_classes)
-        np.add.at(counts, self._y[rows], self._w[rows])
-        return counts
-
-    def _build(self, rows: np.ndarray, used: frozenset[int]) -> TreeNode:
-        counts = self._counts(rows)
+    def _build(self, rows: np.ndarray, used: frozenset[int],
+               counts: np.ndarray) -> TreeNode:
         node = TreeNode(class_counts=counts)
         if np.count_nonzero(counts) <= 1 or len(used) >= len(self._attrs):
             return node
-        best_gain, best_idx = 0.0, None
-        for idx, attr in enumerate(self._attrs):
-            if idx in used:
-                continue
-            branch_counts = []
-            for v in range(attr.num_values):
-                mask = self._matrix[rows, idx] == v
-                branch_counts.append(self._counts(rows[mask]))
-            gain = info_gain(counts, branch_counts)
-            if gain > best_gain + 1e-12:
-                best_gain, best_idx = gain, idx
-        if best_idx is None:
+        codes = self._codes[rows]
+        table = contingency(codes.ravel(),
+                            np.repeat(self._w[rows], codes.shape[1]),
+                            self._starts[-1], self._n_classes)
+        gains = info_gain(counts, table, self._starts[:-1])
+        best_gain, best = 0.0, None
+        for j, gain in enumerate(gains):
+            if self._others[j] not in used and gain > best_gain + 1e-12:
+                best_gain, best = gain, j
+        if best is None:
             return node
+        best_idx = self._others[best]
         attr = self._attrs[best_idx]
         node.attribute = best_idx
         node.branch_values = list(attr.values)
         child_used = used | {best_idx}
+        column = self._matrix[rows, best_idx]
         for v in range(attr.num_values):
-            mask = self._matrix[rows, best_idx] == v
-            sub = rows[mask]
+            sub = rows[column == v]
             if sub.size == 0:
                 node.children.append(TreeNode(class_counts=counts.copy()))
-            else:
-                node.children.append(self._build(sub, child_used))
+            else:  # the table row already holds this child's class counts
+                node.children.append(self._build(
+                    sub, child_used, table[self._starts[best] + v].copy()))
         return node
 
     def _distribution(self, instance: Instance) -> np.ndarray:

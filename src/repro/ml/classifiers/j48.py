@@ -28,9 +28,10 @@ from repro.data.dataset import Dataset
 from repro.data.instance import Instance
 from repro.errors import DataError
 from repro.ml.base import CLASSIFIERS, Classifier
-from repro.ml.classifiers._tree import (TreeNode, distribute,
-                                        distribute_many, entropy,
-                                        graph_to_dot, info_gain, render_text,
+from repro.ml.classifiers._tree import (TreeNode, cell_codes, contingency,
+                                        distribute, distribute_many, entropy,
+                                        entropy_rows, graph_to_dot,
+                                        render_text, split_entropy,
                                         split_info, tree_graph)
 from repro.ml.options import BOOL, FLOAT, INT, OptionSpec
 
@@ -119,34 +120,41 @@ class J48(Classifier):
 
     # ------------------------------------------------------------------ fit
     def _fit(self, dataset: Dataset) -> None:
-        matrix = dataset.to_matrix()
         y = dataset.class_values()
-        weights = dataset.weights()
         keep = ~np.isnan(y)
         if not keep.any():
             raise DataError("all training instances have a missing class")
-        self._matrix = matrix[keep]
+        self._matrix = dataset.to_matrix()[keep]
         self._y = y[keep].astype(int)
-        self._weights = weights[keep].astype(float)
+        weights = dataset.weights()[keep].astype(float)
         self._n_classes = dataset.num_classes
         self._attrs = dataset.attributes
-        self._class_index = dataset.class_index
+        others = [i for i in range(len(self._attrs))
+                  if i != dataset.class_index]
+        self._numeric = [i for i in others if self._attrs[i].is_numeric]
+        # a nominal attribute with fewer than two values cannot split
+        self._nominal = [i for i in others if self._attrs[i].is_nominal
+                         and self._attrs[i].num_values > 1]
+        block = self._matrix[:, self._nominal]
+        self._codes, self._starts = cell_codes(
+            block, [self._attrs[i].num_values for i in self._nominal],
+            self._y, self._n_classes)
+        self._holes = np.flatnonzero(np.isnan(block).any(axis=0)).tolist()
         rows = np.arange(self._matrix.shape[0])
-        used = frozenset({self._class_index})
-        self.root = self._build(rows, self._weights[rows].copy(), used)
+        self.root = self._build(rows, weights,
+                                frozenset({dataset.class_index}),
+                                self._counts(rows, weights))
         if not self.opt("unpruned"):
             self._prune(self.root)
         # free training buffers; the tree is self-contained
-        del self._matrix, self._y, self._weights
+        del self._matrix, self._y, self._codes
 
     def _counts(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        counts = np.zeros(self._n_classes)
-        np.add.at(counts, self._y[rows], w)
-        return counts
+        return np.bincount(self._y[rows], weights=w,
+                           minlength=self._n_classes)
 
     def _build(self, rows: np.ndarray, w: np.ndarray,
-               used: frozenset[int]) -> TreeNode:
-        counts = self._counts(rows, w)
+               used: frozenset[int], counts: np.ndarray) -> TreeNode:
         node = TreeNode(class_counts=counts)
         total = counts.sum()
         min_obj = self.opt("min_obj")
@@ -157,175 +165,169 @@ class J48(Classifier):
         best = self._select_split(rows, w, counts, used)
         if best is None:
             return node
-        attr_idx, threshold, branches = best
+        attr_idx, threshold, child_counts = best
         node.attribute = attr_idx
         node.threshold = threshold
         if threshold is None:
             node.branch_values = list(self._attrs[attr_idx].values)
-        child_used = used | ({attr_idx}
-                             if self._attrs[attr_idx].is_nominal
-                             else set())
-        for branch_rows, branch_w in branches:
+            used = used | {attr_idx}
+        branches = self._partition(attr_idx, threshold, rows, w)
+        for branch, (branch_rows, branch_w) in enumerate(branches):
             if branch_rows.size == 0 or branch_w.sum() < _EPS:
                 child = TreeNode(class_counts=counts.copy())
             else:
-                child = self._build(branch_rows, branch_w, child_used)
+                child = self._build(
+                    branch_rows, branch_w, used,
+                    self._counts(branch_rows, branch_w)
+                    if child_counts is None else child_counts[branch].copy())
             node.children.append(child)
         return node
 
     # ------------------------------------------------------------ splitting
     def _select_split(self, rows: np.ndarray, w: np.ndarray,
                       counts: np.ndarray, used: frozenset[int]):
-        """Return ``(attr_idx, threshold, branches)`` of the best split.
-
-        *branches* is a list of ``(row_indices, weights)`` covering present
-        rows plus fractionally-weighted missing rows.
-        """
-        candidates = []
-        for attr_idx, attr in enumerate(self._attrs):
-            if attr_idx in used or attr.is_string:
-                continue
-            if attr.is_nominal:
-                cand = self._nominal_candidate(attr_idx, rows, w, counts)
-            else:
-                cand = self._numeric_candidate(attr_idx, rows, w, counts)
+        """Return ``(attr_idx, threshold, child_counts)`` of the best split;
+        *child_counts* is the children's class counts, one row per branch,
+        when the contingency table already holds them (a nominal split with
+        no missing cell), else ``None``.  A candidate is ``(gain, ratio,
+        attr_idx, threshold, table rows, no missing cell)``."""
+        total_w = w.sum()
+        candidates = self._nominal_candidates(rows, w, total_w, counts, used)
+        for attr_idx in self._numeric:
+            cand = self._numeric_candidate(attr_idx, rows, w, total_w)
             if cand is not None:
                 candidates.append(cand)
         if not candidates:
             return None
+        candidates.sort(key=lambda c: c[2])  # ties go to the first attribute
         gains = [c[0] for c in candidates]
         avg_gain = sum(gains) / len(gains)
         eligible = [c for c in candidates if c[0] >= avg_gain - _EPS]
         if self.opt("use_gain_ratio"):
-            best = max(eligible, key=lambda c: c[1])
+            best = max(eligible, key=self._gain_ratio)
         else:
             best = max(eligible, key=lambda c: c[0])
-        _, _, attr_idx, threshold = best
-        return (attr_idx, threshold,
-                self._partition(attr_idx, threshold, rows, w))
+        return best[2], best[3], best[4] if best[5] else None
 
-    def _nominal_candidate(self, attr_idx: int, rows: np.ndarray,
-                           w: np.ndarray, counts: np.ndarray):
-        col = self._matrix[rows, attr_idx]
-        present = ~np.isnan(col)
-        present_w = w[present]
-        total_w = w.sum()
-        present_total = present_w.sum()
-        if present_total < _EPS:
-            return None
-        n_values = self._attrs[attr_idx].num_values
-        branch_counts = [np.zeros(self._n_classes) for _ in range(n_values)]
-        vals = col[present].astype(int)
-        ys = self._y[rows][present]
-        for v, y, weight in zip(vals, ys, present_w):
-            branch_counts[v][y] += weight
-        sizes = [float(c.sum()) for c in branch_counts]
-        nonempty = sum(1 for s in sizes if s >= self.opt("min_obj"))
-        if nonempty < 2:
-            return None
-        present_counts = np.zeros(self._n_classes)
-        np.add.at(present_counts, ys, present_w)
-        gain = info_gain(present_counts, branch_counts)
-        # C4.5 scales gain by the fraction of instances with a known value
-        gain *= present_total / total_w
-        if gain < _EPS:
-            return None
-        si = split_info(branch_counts)
-        ratio = gain / si if si > _EPS else 0.0
-        return (gain, ratio, attr_idx, None)
+    @staticmethod
+    def _gain_ratio(candidate: tuple) -> float:
+        gain, ratio, _, _, table, _ = candidate
+        if ratio is None:  # nominal: split info only for the finalists
+            si = split_info(table)
+            ratio = gain / si if si > _EPS else 0.0
+        return ratio
+
+    def _nominal_candidates(self, rows: np.ndarray, w: np.ndarray,
+                            total_w: float, counts: np.ndarray,
+                            used: frozenset[int]) -> list[tuple]:
+        """Score every nominal attribute from one contingency table."""
+        if not self._nominal:
+            return []
+        codes = self._codes[rows]
+        present = codes >= 0
+        table = contingency(
+            codes[present], np.repeat(w, codes.shape[1])[present.ravel()],
+            self._starts[-1], self._n_classes)
+        starts = self._starts[:-1]
+        # C4.5 scores an attribute on the rows where its value is known ...
+        present_total = np.full(len(starts), total_w)
+        base_entropy = np.full(len(starts), entropy(counts))
+        complete = [True] * len(starts)
+        for j in self._holes:
+            known = present[:, j]
+            complete[j] = bool(known.all())
+            if not complete[j]:
+                present_total[j] = w[known].sum()
+                base_entropy[j] = entropy(self._counts(rows[known], w[known]))
+        branches = np.add.reduceat(
+            (table.sum(axis=1) >= self.opt("min_obj")).astype(int), starts)
+        # ... and scales gain by the fraction of instances that have one
+        gain = ((base_entropy - split_entropy(table, starts))
+                * (present_total / total_w))
+        return [(gain[j], None, self._nominal[j], None,
+                 table[self._starts[j]:self._starts[j + 1]], complete[j])
+                for j in np.flatnonzero((present_total >= _EPS)
+                                        & (branches >= 2) & (gain >= _EPS))
+                if self._nominal[j] not in used]
 
     def _numeric_candidate(self, attr_idx: int, rows: np.ndarray,
-                           w: np.ndarray, counts: np.ndarray):
+                           w: np.ndarray, total_w: float):
+        """Best binary threshold: every boundary of the sorted column is
+        scored at once from per-class running sums."""
         col = self._matrix[rows, attr_idx]
         present = ~np.isnan(col)
-        total_w = w.sum()
-        values = col[present]
-        ys = self._y[rows][present]
-        ws = w[present]
+        values, ys, ws = col[present], self._y[rows][present], w[present]
         present_total = ws.sum()
-        if present_total < _EPS or values.size < 2 * self.opt("min_obj"):
+        min_obj = self.opt("min_obj")
+        if present_total < _EPS or values.size < 2 * min_obj:
             return None
         order = np.argsort(values, kind="stable")
         values, ys, ws = values[order], ys[order], ws[order]
-        distinct = np.unique(values)
-        if distinct.size < 2:
+        distinct = 1 + np.count_nonzero(values[1:] != values[:-1])
+        # below[i] = class counts of sorted rows 0..i, added in that order
+        below = np.zeros((values.size, self._n_classes))
+        below[np.arange(values.size), ys] = ws
+        np.cumsum(below, axis=0, out=below)
+        present_counts = below[-1]
+        cuts = np.flatnonzero(values[1:] > values[:-1] + _EPS)
+        left = below[cuts]
+        right = present_counts - left
+        left_total, right_total = left.sum(axis=1), right.sum(axis=1)
+        ok = (left_total >= min_obj) & (right_total >= min_obj)
+        if not ok.any():
             return None
-        present_counts = np.zeros(self._n_classes)
-        np.add.at(present_counts, ys, ws)
-        base_entropy = entropy(present_counts)
-        below = np.zeros(self._n_classes)
-        best_gain, best_threshold, best_ratio = -1.0, None, 0.0
-        min_obj = self.opt("min_obj")
-        i = 0
-        n = values.size
-        while i < n - 1:
-            below[ys[i]] += ws[i]
-            if values[i + 1] <= values[i] + _EPS:
-                i += 1
-                continue
-            left_total = below.sum()
-            right = present_counts - below
-            right_total = right.sum()
-            if left_total < min_obj or right_total < min_obj:
-                i += 1
-                continue
-            avg = (left_total * entropy(below)
-                   + right_total * entropy(right)) / present_total
-            gain = base_entropy - avg
-            if gain > best_gain:
-                best_gain = gain
-                best_threshold = (values[i] + values[i + 1]) / 2.0
-                si = entropy(np.array([left_total, right_total]))
-                best_ratio = gain / si if si > _EPS else 0.0
-            i += 1
-        if best_threshold is None:
-            return None
+        cuts, sizes = cuts[ok], (left_total[ok], right_total[ok])
+        gains = entropy(present_counts) - (
+            sizes[0] * entropy_rows(left[ok])
+            + sizes[1] * entropy_rows(right[ok])) / present_total
+        i = int(np.argmax(gains))  # the first of equal maxima
+        threshold = (values[cuts[i]] + values[cuts[i] + 1]) / 2.0
+        si = entropy(np.array([sizes[0][i], sizes[1][i]]))
+        ratio = gains[i] / si if si > _EPS else 0.0
         # C4.5 release-8 correction: charge for choosing among thresholds
-        best_gain -= math.log2(max(distinct.size - 1, 1)) / present_total
-        best_gain *= present_total / total_w
-        if best_gain < _EPS:
+        gain = gains[i] - math.log2(max(distinct - 1, 1)) / present_total
+        gain *= present_total / total_w
+        if gain < _EPS:
             return None
-        return (best_gain, best_ratio, attr_idx, float(best_threshold))
+        return (gain, ratio, attr_idx, float(threshold), None, False)
 
     def _partition(self, attr_idx: int, threshold: float | None,
                    rows: np.ndarray, w: np.ndarray):
         """Split rows into branches, fanning missing rows out fractionally."""
         col = self._matrix[rows, attr_idx]
-        missing = np.isnan(col)
-        present = ~missing
-        if threshold is None:
-            n_branches = self._attrs[attr_idx].num_values
-            masks = [present & (col == v) for v in range(n_branches)]
-        else:
-            masks = [present & (col <= threshold),
-                     present & (col > threshold)]
-        branch_w_present = [w[m].sum() for m in masks]
-        present_total = sum(branch_w_present)
-        branches = []
-        miss_rows = rows[missing]
-        miss_w = w[missing]
-        for mask, wp in zip(masks, branch_w_present):
-            r = rows[mask]
-            ws = w[mask]
-            if present_total > _EPS and miss_rows.size:
-                frac = wp / present_total
-                if frac > _EPS:
-                    r = np.concatenate([r, miss_rows])
-                    ws = np.concatenate([ws, miss_w * frac])
-            branches.append((r, ws))
+        present = ~np.isnan(col)
+        n_branches = 2 if threshold is not None \
+            else self._attrs[attr_idx].num_values
+        branch = (col[present] if threshold is None
+                  else col[present] > threshold).astype(int)
+        order = np.argsort(branch, kind="stable")
+        ends = np.cumsum(np.bincount(branch, minlength=n_branches)).tolist()
+        rows_in, w_in = rows[present][order], w[present][order]
+        branches = [(rows_in[s:e], w_in[s:e])
+                    for s, e in zip([0] + ends, ends)]
+        miss_rows, miss_w = rows[~present], w[~present]
+        if miss_rows.size:
+            branch_w_present = [ws.sum() for _, ws in branches]
+            present_total = sum(branch_w_present)
+            for b, wp in enumerate(branch_w_present):
+                if present_total > _EPS and wp / present_total > _EPS:
+                    branches[b] = (
+                        np.concatenate([branches[b][0], miss_rows]),
+                        np.concatenate([branches[b][1],
+                                        miss_w * (wp / present_total)]))
         return branches
 
     # -------------------------------------------------------------- pruning
     def _prune(self, node: TreeNode) -> float:
         """Post-order pessimistic pruning; returns the estimated subtree
         error after pruning."""
-        cf = self.opt("confidence")
+        total = node.total_weight
+        errors = total - float(node.class_counts.max())
+        leaf_est = errors + added_errors(total, errors,
+                                         self.opt("confidence"))
         if node.is_leaf:
-            return node.errors() + added_errors(node.total_weight,
-                                                node.errors(), cf)
+            return leaf_est
         subtree_est = sum(self._prune(child) for child in node.children)
-        leaf_est = node.errors() + added_errors(node.total_weight,
-                                                node.errors(), cf)
         if leaf_est <= subtree_est + 0.1:
             node.make_leaf()
             return leaf_est

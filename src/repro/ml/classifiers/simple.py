@@ -15,7 +15,7 @@ from repro.data.dataset import Dataset
 from repro.data.instance import Instance
 from repro.errors import DataError
 from repro.ml.base import CLASSIFIERS, Classifier
-from repro.ml.classifiers._tree import entropy
+from repro.ml.classifiers._tree import contingency, entropy
 from repro.ml.options import INT, OptionSpec
 
 
@@ -82,10 +82,9 @@ class OneR(Classifier):
         self._n_classes = n_classes
 
     def _nominal_rule(self, col, y, w, n_values, n_classes):
-        table = np.zeros((n_values, n_classes))
-        for v, cls, weight in zip(col, y, w):
-            if not (math.isnan(v) or math.isnan(cls)):
-                table[int(v), int(cls)] += weight
+        known = ~(np.isnan(col) | np.isnan(y))
+        codes = col[known].astype(int) * n_classes + y[known].astype(int)
+        table = contingency(codes, w[known], n_values, n_classes)
         mapping = ("nominal", table.argmax(axis=1))
         return float(table.max(axis=1).sum()), mapping
 

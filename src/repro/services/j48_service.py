@@ -16,7 +16,7 @@ reproduce the paper's performance comparison (the PERF-4.5 bench).
 
 from __future__ import annotations
 
-from repro.data import arff, dataio
+from repro.data import arff, cache, dataio
 from repro.ml import evaluation
 from repro.ml.classifiers import J48
 from repro.services.classifier_service import _note_batch
@@ -32,7 +32,8 @@ class J48Service:
 
     def _fit(self, dataset: str, attribute: str,
              options: dict | None) -> J48:
-        key = (hash(dataset), attribute,
+        # by content, not hash(): equal hashes do not make equal documents
+        key = (cache.text_digest(dataset), attribute,
                tuple(sorted((options or {}).items())))
         if self._last_model is not None and key == self._last_key:
             return self._last_model  # interactive sessions hit this cache

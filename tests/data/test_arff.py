@@ -239,3 +239,57 @@ def test_arff_roundtrip_property(ds):
                 assert math.isnan(y)
             else:
                 assert x == pytest.approx(y, rel=1e-12)
+
+
+# -- the dense-row fast path (quote-free @data lines) ------------------------
+
+@given(st.text(alphabet=st.characters(blacklist_characters="'\"",
+                                      blacklist_categories=("Cs",)),
+               max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_plain_split_equals_quote_aware_split(line):
+    """On any line without a quote character the ``str.split`` fast path
+    yields exactly the fields the character-by-character splitter does."""
+    assert arff._split_plain_line(line) == arff._split_csv_line(line, 1)
+
+
+MIXED = """@relation mixed
+@attribute outlook {sunny, overcast, 'light rain'}
+@attribute temperature numeric
+@attribute note string
+@data
+sunny, 85, first
+'light rain', 70, "second, quoted"
+overcast, ?, third
+{0 overcast, 1 64}
+sunny,, first
+"""
+
+
+class TestFastPathKeepsRowSemantics:
+    def test_plain_quoted_and_sparse_rows_keep_document_order(self):
+        ds = arff.loads(MIXED)
+        assert [inst.decoded(ds) for inst in ds] == [
+            ["sunny", 85.0, "first"],
+            ["light rain", 70.0, "second, quoted"],
+            ["overcast", None, "third"],
+            ["overcast", 64.0, "first"],
+            ["sunny", None, "first"],
+        ]
+        # string tables grow in row order, whichever path read the row
+        assert ds.attribute("note").values == ("first", "second, quoted",
+                                               "third")
+
+    @pytest.mark.parametrize("bad_row, line_no", [
+        ("sunny, 85, FALSE\nfoggy, 1, TRUE\nrainy, x, TRUE", 10),
+        ("sunny, hot, FALSE\nfoggy, 1, TRUE", 9),
+        ("sunny, hot, FALSE\nsunny, 1", 9),          # bad cell before arity
+        ("sunny, hot, FALSE\n'sunny, 1, TRUE", 9),   # ... before a bad quote
+        ("sunny, 85, FALSE\nsunny, 1", 10),
+    ])
+    def test_first_error_names_the_line_the_row_reader_named(self, bad_row,
+                                                             line_no):
+        header = DOC[:DOC.index("@data") + len("@data\n")]
+        with pytest.raises(ArffParseError) as err:
+            arff.loads(header + bad_row + "\n")
+        assert err.value.line_no == line_no

@@ -31,21 +31,36 @@ def test_entropy_of_pure_distribution_is_zero(c):
     assert entropy(pure) == pytest.approx(0.0)
 
 
+def _table(branches):
+    """Stack ragged count vectors into one 2-D (branch, class) table."""
+    width = max(b.size for b in branches)
+    return np.vstack([np.pad(b, (0, width - b.size)) for b in branches])
+
+
 @given(st.lists(counts, min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_info_gain_nonnegative_for_true_partitions(branches):
     """Gain of any partition of a parent into branches is >= 0."""
-    width = max(b.size for b in branches)
-    padded = [np.pad(b, (0, width - b.size)) for b in branches]
-    parent = np.sum(padded, axis=0)
-    gain = info_gain(parent, padded)
+    table = _table(branches)
+    gain = info_gain(table.sum(axis=0), table)
     assert gain >= -1e-9
+
+
+@given(st.lists(counts, min_size=2, max_size=6), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_info_gain_of_stacked_splits_equals_one_by_one(branches, cut):
+    """Two splits stacked in one table score exactly as they do alone."""
+    table = _table(branches)
+    cut = min(cut, len(table) - 1)
+    parent = table.sum(axis=0)
+    assert info_gain(parent, table, (0, cut)).tolist() == [
+        info_gain(parent, table[:cut])[0], info_gain(parent, table[cut:])[0]]
 
 
 @given(st.lists(counts, min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_split_info_nonnegative(branches):
-    assert split_info(list(branches)) >= 0.0
+    assert split_info(_table(branches)) >= 0.0
 
 
 @given(st.floats(0.001, 0.999))

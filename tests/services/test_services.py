@@ -160,6 +160,25 @@ class TestJ48Service:
                                          attribute="Class")
         assert dot.startswith("digraph")
 
+    def test_model_memo_tells_colliding_documents_apart(self, breast_cancer):
+        """The one-model memo is keyed by document content: two documents
+        whose ``hash()`` collide must not share a tree."""
+        from repro.services.j48_service import J48Service
+
+        class Colliding(str):
+            __hash__ = lambda self: 42  # noqa: E731
+
+        cancer = Colliding(arff.dumps(breast_cancer))
+        subset = Colliding(arff.dumps(breast_cancer.subset(range(80))))
+        assert hash(cancer) == hash(subset)
+        service = J48Service()
+        assert "(228.388/" in service.classify(cancer, "Class")
+        assert service.classify(subset, "Class") \
+            == J48Service().classify(subset, "Class")
+        first = service._last_model
+        service.classify(Colliding(subset), "Class")
+        assert service._last_model is first  # equal content still hits
+
 
 class TestClustererServices:
     def test_cobweb_cluster(self, proxies, blobs):

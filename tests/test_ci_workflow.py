@@ -268,6 +268,19 @@ def test_bench_smoke_runs_the_batching_gate(workflow):
     assert "BENCH_batching.json" in upload["with"]["path"]
 
 
+def test_bench_smoke_runs_the_j48_kernel_gate(workflow):
+    """PERF-J48: the Figure-4 benchmark runs in CI (its in-test gates hold
+    the array-kernel fit at >= 2x the scalar oracle on the paper's dataset
+    and >= 10x on a 2 000 x 8 numeric frame) and its JSON is uploaded."""
+    job = workflow["jobs"]["bench-smoke"]
+    text = steps_text(job)
+    assert "benchmarks/test_bench_fig4_tree.py" in text
+    assert "--benchmark-json=BENCH_fig4_tree.json" in text
+    upload = next(step for step in job["steps"]
+                  if "upload-artifact" in step.get("uses", ""))
+    assert "BENCH_fig4_tree.json" in upload["with"]["path"]
+
+
 def test_chaos_job_is_seeded_and_uploads_snapshot(workflow):
     job = workflow["jobs"]["chaos"]
     text = steps_text(job)
