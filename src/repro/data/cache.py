@@ -27,11 +27,13 @@ The whole fast path can be disabled with ``repro run
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, TYPE_CHECKING
+from typing import Any, Callable, Hashable, Iterator, TYPE_CHECKING
 
 from repro.obs import get_metrics
 
@@ -50,6 +52,46 @@ def text_digest(text: str | bytes) -> str:
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")
     return hashlib.sha256(text).hexdigest()
+
+
+#: The open request's ``id(buf) -> (buf, digest)`` table.  Entries hold
+#: their buffer, so an id is never reused while its digest is kept.
+_digests = contextvars.ContextVar("repro_request_digests", default=None)
+
+
+@contextlib.contextmanager
+def digest_scope() -> Iterator[None]:
+    """One request's digest table, opened where a request enters or
+    leaves a process (the HTTP gateway, a transport's ``send``): inside
+    it :func:`content_digest` hashes each buffer *object* once.  A scope
+    opened inside another joins it; the table dies with the outermost,
+    so no digest outlives the request that computed it."""
+    if _digests.get() is not None:
+        yield
+        return
+    token = _digests.set({})
+    try:
+        yield
+    finally:
+        _digests.reset(token)
+
+
+def content_digest(buf: str | bytes | memoryview,
+                   known: str | None = None) -> str:
+    """:func:`text_digest`, computed at most once per buffer object per
+    request (see :func:`digest_scope`).  Only what cannot be written
+    through is remembered: ``bytes`` and read-only views.  *known* is a
+    digest the caller has just verified for *buf*, or computed for the
+    buffer it copied *buf* from — remembered instead of recomputed."""
+    table = _digests.get()
+    if table is None or not (isinstance(buf, bytes) or (
+            isinstance(buf, memoryview) and buf.readonly)):
+        return known or text_digest(buf)
+    entry = table.get(id(buf))
+    if entry is None or known:
+        entry = table[id(buf)] = (
+            buf, known or hashlib.sha256(buf).hexdigest())
+    return entry[1]
 
 
 class LruCache:
@@ -141,7 +183,8 @@ def parse_cache_len() -> int:
     return len(_parse_cache)
 
 
-def memo_parse(kind: str, text: str, factory: Callable[[], "Dataset"],
+def memo_parse(kind: str, text: str | bytes | memoryview,
+               factory: Callable[[], "Dataset"],
                **key_parts: Any) -> "Dataset":
     """Parse *text* through *factory*, memoised by content digest.
 
@@ -152,7 +195,7 @@ def memo_parse(kind: str, text: str, factory: Callable[[], "Dataset"],
     """
     if not _enabled or len(text) < MIN_MEMO_BYTES:
         return factory()
-    key = (kind, text_digest(text),
+    key = (kind, content_digest(text),
            tuple(sorted(key_parts.items())))
     cached = _parse_cache.get(key)
     metrics = get_metrics()

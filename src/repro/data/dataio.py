@@ -34,9 +34,10 @@ def parse_dataset(doc: str | bytes | bytearray | memoryview,
     """
     if isinstance(doc, (bytes, bytearray, memoryview)):
         if codec.is_columnar(doc):
-            raw = bytes(doc)
-            out = cache.memo_parse(COLUMNAR, raw,
-                                   lambda: codec.decode(raw))
+            # the buffer itself: a mapped segment or an attachment view
+            # decodes in place, under the digest this request has for it
+            out = cache.memo_parse(COLUMNAR, doc,
+                                   lambda: codec.decode(doc))
             if class_attribute is not None:
                 out.set_class(class_attribute)
             return out

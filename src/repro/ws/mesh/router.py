@@ -40,8 +40,9 @@ from repro.ws.breaker import OPEN, CircuitBreaker
 from repro.ws.mesh.endpoints import MeshEndpoint, RegistryEndpoints
 from repro.ws.mesh.profile import ProfileBook
 from repro.ws.mesh.ring import ConsistentHashRing
+from repro.ws.payload import MISS_FAULTCODE, PayloadMissError
 from repro.ws.registry import HEALTH_DOWN, HEALTH_UP
-from repro.ws.soap import SoapRequest, SoapResponse
+from repro.ws.soap import SoapFault, SoapRequest, SoapResponse
 from repro.ws.transport import (HttpTransport, parse_unix_url,
                                 transport_for)
 
@@ -288,9 +289,17 @@ class MeshRouter:
                     metrics.counter("ws.mesh.substitutions",
                                     service=request.service).inc()
 
+        def attempt(endpoint) -> SoapResponse:
+            try:
+                return self._transport(endpoint).send(request)
+            except PayloadMissError as miss:
+                # a relayed ref neither the replica nor this relay can
+                # open: the caller resends inline, the replica answered
+                raise SoapFault(MISS_FAULTCODE, str(miss),
+                                detail=miss.digest) from miss
+
         return failover.walk(
-            ranked, lambda endpoint: self._transport(endpoint).send(request),
-            faults_end_walk=True,
+            ranked, attempt, faults_end_walk=True,
             breaker_of=lambda endpoint: self._breaker(endpoint.url),
             settled=settled, exhausted=unroutable)
 

@@ -17,12 +17,17 @@ our SOAP data plane:
   element.  Unknown payloads travel inline once and are *absorbed* into
   the receiving store (see ``absorb_params``), so the next send can go
   by reference.
-* ``resolve`` — the receiving side turns a ref back into the full
-  value, verifying the content digest.  A digest the store does not
-  hold raises :class:`PayloadMissError` (a transient
-  :class:`~repro.errors.TransportError`): transports fall back to a
-  transparent full-payload resend, and retry policies treat a corrupt
-  ref exactly like any other delivery failure.
+* ``resolve_refs`` — whoever *dispatches* a call (the container's first
+  chain step) turns its refs back into values, verifying the content
+  digest; decode only parses them, so a relay forwards a ref unopened.
+  A digest the store does not hold raises :class:`PayloadMissError` (a
+  transient :class:`~repro.errors.TransportError`): transports fall
+  back to a transparent full-payload resend, and retry policies treat
+  a corrupt ref exactly like any other delivery failure.
+* one SHA-256 per buffer per request per process — store, absorb,
+  externalize and the parse memo all name a buffer through
+  :func:`repro.data.cache.content_digest`.  No check is skipped: ``put``
+  computes, ``get`` re-verifies on every read, a first attach re-hashes.
 * gzip helpers — SOAP envelopes above :data:`COMPRESS_MIN_BYTES` travel
   gzip-compressed when the peer negotiates ``Content-Encoding``
   (attachment parts beside the envelope travel stored — see
@@ -60,7 +65,7 @@ import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.data.cache import LruCache
+from repro.data.cache import LruCache, content_digest
 from repro.errors import TransportError
 from repro.obs import get_metrics
 from repro.ws import shm
@@ -159,6 +164,15 @@ def _miss(digest: str, message: str | None = None) -> PayloadMissError:
     return PayloadMissError(digest, message)
 
 
+def well_formed(digest: str) -> str:
+    """*digest*, or the miss a malformed one is at whichever hop reads
+    it first — a relay's decode or a container's resolve."""
+    if not payload_digest_ok(digest):
+        raise _miss(digest or "(empty)",
+                    f"malformed payload digest {digest!r}")
+    return digest
+
+
 class PayloadStore:
     """Thread-safe content-addressed blob store with LRU bounds."""
 
@@ -171,12 +185,14 @@ class PayloadStore:
 
         Content already held is refreshed, not replaced, and a
         :class:`memoryview` is copied only when its content is new — so
-        a relay hop that forwards a value it has just absorbed hashes
-        it again but allocates nothing.
+        a relay hop that forwards a value it has just absorbed neither
+        hashes it again (``content_digest``) nor allocates.
         """
-        digest = digest_bytes(data)
+        digest = content_digest(data)
         if self._cache.get(digest) is None:
-            self._cache.put(digest, bytes(data), weight=len(data))
+            held = bytes(data)
+            content_digest(held, digest)  # our copy of what we hashed
+            self._cache.put(digest, held, weight=len(data))
         return digest
 
     def get(self, digest: str) -> bytes | None:
@@ -185,11 +201,12 @@ class PayloadStore:
         Verification guards the by-reference contract: a blob that no
         longer hashes to its key (memory corruption, a tampered store)
         must never be silently substituted for the caller's data.
+        Every read re-hashes, bar a re-read inside one request.
         """
         data = self._cache.get(digest)
         if data is None:
             return None
-        if digest_bytes(data) != digest:
+        if content_digest(data) != digest:
             get_metrics().counter("ws.payload.integrity_failures").inc()
             raise TransportError(
                 f"payload digest mismatch for {digest[:12]}... "
@@ -315,15 +332,17 @@ def _as_buffer(value: str | bytes | memoryview) -> bytes | memoryview:
     return value
 
 
-def _local_bytes(digest: str, via: str = "") -> bytes | None:
-    """The bytes behind one ref, from the store or (via="shm") a mapped
-    segment — the sender-side resolution used to re-inline a ref."""
-    data = _store.get(digest)
-    if data is None and via == "shm":
-        view = shm.get_segment_store().attach(digest)
+def _inline_value(ref: PayloadRef) -> str | bytes:
+    """Sender side: the value behind *ref*, from the store or (via="shm")
+    a mapped segment, for a peer that needs it inline."""
+    data = _store.get(ref.digest)
+    if data is None and ref.via == "shm":
+        view = shm.get_segment_store().attach(ref.digest)
         if view is not None:
             data = bytes(view)
-    return data
+    if data is None:
+        raise _miss(ref.digest)
+    return _from_bytes(data, ref.kind)
 
 
 def _from_bytes(data: bytes, kind: str) -> str | bytes:
@@ -362,50 +381,54 @@ def externalize(request: "SoapRequest", peer: PeerState,
     into a shared-memory segment and sent as a ``via="shm"`` ref on the
     *first* send already — any same-host process can map the segment,
     so there is nothing to absorb.  Parameters that are already refs
-    are kept when the peer knows them and resolved back to inline
-    values when it does not (raising :class:`PayloadMissError` if the
-    blob is gone locally too).  With the fast path disabled the request
-    passes through untouched (refs still get internalized, so a
-    disabled receiver never sees one).  Multicall requests are handled
+    (a relay's) are kept when the peer knows them or can map their
+    segment, and put back inline when it does not (raising
+    :class:`PayloadMissError` if the blob is gone locally too).  With
+    the fast path disabled the request passes through untouched (refs
+    still get internalized, so a disabled receiver never sees one).  Multicall requests are handled
     per sub-call, so a batch repeating one large ARFF ships it inline
     once and by reference for every later item.
     """
+    return _with_params(request, lambda params: _externalize_params(
+        params, peer, min_bytes, same_host))
+
+
+def _with_params(request: "SoapRequest", rewrite) -> "SoapRequest":
+    """*request* with each parameter dict (every sub-call's, for a
+    multicall) through *rewrite*; a dict returned as it came is
+    unchanged, and so is *request* when all are."""
     calls = _multicall_calls(request)
-    if calls is not None:
-        new_calls, changed = [], False
-        for sub in calls:
-            new_params, sub_changed = _externalize_params(
-                sub.params, peer, min_bytes, same_host)
-            new_calls.append(dataclasses.replace(sub, params=new_params)
-                             if sub_changed else sub)
-            changed = changed or sub_changed
-        if not changed:
-            return request
-        return dataclasses.replace(request, params={"calls": new_calls})
-    new_params, changed = _externalize_params(request.params, peer,
-                                              min_bytes, same_host)
-    if not changed:
+    if calls is None:
+        params = rewrite(request.params)
+        return request if params is request.params \
+            else dataclasses.replace(request, params=params)
+    rewritten = [rewrite(sub.params) for sub in calls]
+    if all(new is sub.params for new, sub in zip(rewritten, calls)):
         return request
-    return dataclasses.replace(request, params=new_params)
+    return dataclasses.replace(request, params={"calls": [
+        dataclasses.replace(sub, params=new)
+        for new, sub in zip(rewritten, calls)]})
 
 
 def _externalize_params(params: dict, peer: PeerState, min_bytes: int,
-                        same_host: bool = False) -> tuple[dict, bool]:
+                        same_host: bool = False) -> dict:
     metrics = get_metrics()
     use_shm = same_host and _enabled and _shm_enabled and shm.supported()
     new_params = {}
     changed = False
     for name, value in params.items():
         if isinstance(value, PayloadRef):
-            if _enabled and peer.knows(value.digest):
+            # a ref being relayed stays one, unopened, for a peer that
+            # holds the blob or (via="shm") can map the segment; for any
+            # other it goes back inline, to be sent like any value
+            if _enabled and (peer.knows(value.digest) or
+                             (use_shm and value.via == "shm")):
+                peer.learn(value.digest)
                 new_params[name] = value
-            else:
-                data = _local_bytes(value.digest, value.via)
-                if data is None:
-                    raise _miss(value.digest)
-                new_params[name] = _from_bytes(data, value.kind)
-                changed = True
-            continue
+                metrics.counter("ws.payload.ref_sends").inc()
+                metrics.counter("ws.payload.bytes_saved").inc(value.size)
+                continue
+            value, changed = _inline_value(value), True
         if not _enabled or \
                 not isinstance(value, (str, bytes, memoryview)) or \
                 len(value) < min_bytes:
@@ -437,36 +460,31 @@ def _externalize_params(params: dict, peer: PeerState, min_bytes: int,
             peer.learn(digest)
             new_params[name] = value
             metrics.counter("ws.payload.inline_sends").inc()
-    return new_params, changed
+    return new_params if changed else params
+
+
+def _replace_refs(request: "SoapRequest", value_of) -> "SoapRequest":
+    """*request* with ``value_of(ref)`` in place of every
+    :class:`PayloadRef`, multicall sub-calls included."""
+    def swap(params: dict) -> dict:
+        if not any(isinstance(v, PayloadRef) for v in params.values()):
+            return params
+        return {name: value_of(value) if isinstance(value, PayloadRef)
+                else value for name, value in params.items()}
+    return _with_params(request, swap)
 
 
 def internalize(request: "SoapRequest") -> "SoapRequest":
-    """Resolve every :class:`PayloadRef` in *request* back to its value
-    (the transparent full-payload fallback after a peer miss)."""
-    calls = _multicall_calls(request)
-    if calls is not None:
-        if not refs_in(request):
-            return request
-        new_calls = [dataclasses.replace(
-            sub, params=_internalize_params(sub.params)) for sub in calls]
-        return dataclasses.replace(request, params={"calls": new_calls})
-    if not any(isinstance(v, PayloadRef)
-               for v in request.params.values()):
-        return request
-    return dataclasses.replace(request,
-                               params=_internalize_params(request.params))
+    """Sender side: every ref of *request* back inline (the transparent
+    full-payload fallback after a peer miss)."""
+    return _replace_refs(request, _inline_value)
 
 
-def _internalize_params(params: dict) -> dict:
-    new_params = {}
-    for name, value in params.items():
-        if isinstance(value, PayloadRef):
-            data = _local_bytes(value.digest, value.via)
-            if data is None:
-                raise _miss(value.digest)
-            value = _from_bytes(data, value.kind)
-        new_params[name] = value
-    return new_params
+def resolve_refs(request: "SoapRequest") -> "SoapRequest":
+    """Receiving side: every ref of *request* :func:`resolve`-d — what
+    the container does before dispatch, and a relay never does."""
+    return _replace_refs(
+        request, lambda ref: resolve(ref.digest, ref.kind, ref.via))
 
 
 def resolve(digest: str, kind: str,
@@ -482,9 +500,7 @@ def resolve(digest: str, kind: str,
     transport layer converts that into the ``repro:PayloadMiss`` fault
     / an inline resend.
     """
-    if not payload_digest_ok(digest):
-        raise _miss(digest or "(empty)",
-                    f"malformed payload digest {digest!r}")
+    well_formed(digest)
     if via == "shm":
         metrics = get_metrics()
         view = shm.get_segment_store().attach(digest) \
@@ -494,6 +510,7 @@ def resolve(digest: str, kind: str,
             metrics.counter("ws.shm.bytes_mapped").inc(len(view))
             if kind == "str":
                 return bytes(view).decode("utf-8", "surrogatepass")
+            content_digest(view, digest)  # attach verified the segment
             return view
         metrics.counter("ws.shm.misses").inc()
     data = _store.get(digest)

@@ -50,8 +50,8 @@ Default orders (outermost first; names are stable API):
 * client transport (any :class:`~repro.ws.transport.ChainedTransport`):
   ``trace → metrics → deadline → [gzip] → payload → _exchange``
 * server container (``ServiceContainer.invoke``):
-  ``trace → resolve → deadline → multicall → stats → cache →
-  lifecycle → faults → dispatch`` (``ServiceContainer(admission=...)``
+  ``refs → trace → resolve → deadline → multicall → stats → cache
+  → lifecycle → faults → dispatch`` (``ServiceContainer(admission=...)``
   splices the ``admission`` load-shedding step in after ``deadline``)
 
 Byte movers stay free of policy imports (no :mod:`repro.obs`, no
@@ -546,13 +546,24 @@ def _by_content(value: Any) -> Any:
     keyed by what they hold: a ``memoryview``'s ``repr`` is its address,
     which the next mapped or attached frame may reuse."""
     if isinstance(value, (bytes, memoryview)):
-        return {"sha256": payload.digest_bytes(value)}
+        return {"sha256": datacache.content_digest(value)}
     return repr(value)
 
 
 def _count_server_fault(request: SoapRequest) -> None:
     get_metrics().counter("ws.server.faults", service=request.service,
                           operation=request.operation).inc()
+
+
+class ResolveRefs(ServerHandler):
+    """Turn by-reference parameters back into values (zero-copy views
+    for ``via="shm"``, multicall sub-calls included); a digest nobody
+    here holds leaves the container as :class:`PayloadMissError`."""
+
+    name = "refs"
+
+    def around(self, request, ctx):
+        return (yield payload.resolve_refs(request))
 
 
 class DispatchTrace(ServerHandler):
@@ -789,17 +800,18 @@ class FaultMapper(ServerHandler):
 
 
 def default_server_handlers() -> list[ServerHandler]:
-    """The standard container chain: trace → resolve → deadline →
-    multicall → stats → cache → lifecycle → faults.
+    """The standard container chain: refs → trace → resolve → deadline
+    → multicall → stats → cache → lifecycle → faults.
 
-    Order is behavioural API: a deadline rejection counts no
+    Order is behavioural API: every later step sees values, never
+    refs, a deadline rejection counts no
     invocation, multicall expansion happens before stats and the result
     cache so each sub-call is counted and cached item-wise, a cache hit
     does no lifecycle work, and instance acquisition failures propagate
     unmapped (they are host errors, not operation faults)."""
-    return [DispatchTrace(), ResolveDeployment(), DeadlineAnchor(),
-            MulticallExpand(), InvocationStats(), ResultCache(),
-            Lifecycle(), FaultMapper()]
+    return [ResolveRefs(), DispatchTrace(), ResolveDeployment(),
+            DeadlineAnchor(), MulticallExpand(), InvocationStats(),
+            ResultCache(), Lifecycle(), FaultMapper()]
 
 
 # -- server HTTP gateway -----------------------------------------------------
@@ -938,6 +950,7 @@ class HttpGateway:
             return http_response(502, str(exc).encode(), _TEXT)
         return http_response(200, document.encode())
 
+    @datacache.digest_scope()  # one request: each buffer hashed once
     def _post(self, name: str, raw: bytes | bytearray,
               headers: dict[str, str]) -> HttpResponse:
         """Serve one ``POST /services/<name>`` body."""

@@ -11,18 +11,20 @@ A producer :meth:`SegmentStore.publish`-es a blob once into a named
 ``multiprocessing.shared_memory`` segment (``repro-shm-<digest16>``);
 any same-host consumer :meth:`SegmentStore.attach`-es the segment and
 gets a **memoryview into the shared pages** — no copy, no socket.  The
-SOAP layer ships only the 64-hex digest (tagged ``via="shm"``), and
-:func:`repro.ws.payload.resolve` maps the segment instead of reading
-the envelope.  Misses (segment evicted, cross-host peer, shm disabled)
-fall back to the classic inline path transparently.
+SOAP layer ships only the 64-hex digest (tagged ``via="shm"``), a relay
+on the same host passes that ref on unopened, and the process that
+dispatches the call maps the segment (:func:`repro.ws.payload.resolve`)
+instead of reading the envelope.  Misses (segment evicted, cross-host
+peer, shm disabled) fall back to the classic inline path transparently.
 
 Segment layout: a 24-byte header — magic ``RSHM``, format version, the
 owner pid, the payload length — then the payload.  The payload is
 written *before* the magic, so a consumer racing a mid-write producer
 sees an invalid header and treats the segment as absent.  Integrity is
-the same contract as :class:`~repro.ws.payload.PayloadStore`: the first
-attach of each digest re-hashes the mapped bytes and refuses a segment
-that does not hash to its name.
+the same contract as :class:`~repro.ws.payload.PayloadStore`: mapping a
+segment re-hashes its bytes and refuses one that does not hash to its
+name; a mapping evicted from the bounded attached set is re-verified
+when it is mapped again.
 
 Lifecycle: the creating process owns its segments and unlinks them on
 eviction (LRU, bounded count/bytes) and at :meth:`SegmentStore.close`.
@@ -162,11 +164,12 @@ def _quiet_close(shm) -> None:
 class SegmentStore:
     """Publish/attach named shared-memory segments, content-addressed.
 
-    One instance per process (see :func:`get_segment_store`).  *Owned*
-    segments — created here — are LRU-bounded and unlinked on eviction;
-    *attached* segments — created elsewhere — are kept mapped for the
-    life of the process (their memoryviews may be referenced by live
-    request objects) and merely closed on :meth:`reset`.
+    One instance per process (see :func:`get_segment_store`).  Both
+    sets are LRU-bounded by the same count and byte limits: an *owned*
+    segment — created here — is unlinked on eviction; an *attached* one
+    — created elsewhere — is disarmed (:func:`_quiet_close`), so views
+    already handed to live requests stay valid, and re-verified if it
+    is attached again.
     """
 
     def __init__(self, max_segments: int = OWNED_MAX_SEGMENTS,
@@ -179,8 +182,9 @@ class SegmentStore:
         self._owned: dict[str, object] = {}
         self._owned_bytes = 0
         # digest → (SharedMemory, payload length) attached from peers
+        # and verified; LRU order like _owned
         self._attached: dict[str, tuple[object, int]] = {}
-        self._verified: set[str] = set()
+        self._attached_bytes = 0
 
     # -- producer side ---------------------------------------------------
 
@@ -240,10 +244,11 @@ class SegmentStore:
         """Map the segment for *digest*; returns a read-only view of the
         payload bytes (zero-copy), or ``None`` on any miss.
 
-        The first attach of each digest re-hashes the mapped bytes —
-        a segment that does not hash to its name is treated as absent
-        (the classic inline fallback covers it), matching the
-        :class:`~repro.ws.payload.PayloadStore` integrity contract.
+        Mapping a segment re-hashes its bytes — one that does not hash
+        to its name is treated as absent (the classic inline fallback
+        covers it), matching the :class:`~repro.ws.payload.PayloadStore`
+        integrity contract — and later attaches reuse the mapping for
+        as long as it stays within the LRU bounds.
         """
         if not supported():
             return None
@@ -253,7 +258,7 @@ class SegmentStore:
                 size = _HEADER.unpack_from(owned.buf)[3]
                 return memoryview(owned.buf)[
                     HEADER_BYTES:HEADER_BYTES + size].toreadonly()
-            entry = self._attached.get(digest)
+            entry = self._attached.pop(digest, None)
             if entry is None:
                 try:
                     shm = shared_memory.SharedMemory(
@@ -262,22 +267,26 @@ class SegmentStore:
                     return None
                 _untrack(shm)
                 header = self._read_header(shm)
-                if header is None:
-                    shm.close()
+                if header is None or hashlib.sha256(memoryview(shm.buf)[
+                        HEADER_BYTES:HEADER_BYTES + header[1]]
+                        ).hexdigest() != digest:
+                    _quiet_close(shm)
                     return None
                 entry = (shm, header[1])
-                self._attached[digest] = entry
+                self._attached_bytes += header[1]
+            self._attached[digest] = entry  # most recently used
+            self._evict_attached()
             shm, size = entry
-            view = memoryview(shm.buf)[
+            return memoryview(shm.buf)[
                 HEADER_BYTES:HEADER_BYTES + size].toreadonly()
-            if digest not in self._verified:
-                if hashlib.sha256(view).hexdigest() != digest:
-                    view.release()
-                    self._attached.pop(digest, None)
-                    shm.close()
-                    return None
-                self._verified.add(digest)
-            return view
+
+    def _evict_attached(self) -> None:
+        while len(self._attached) > self.max_segments or (
+                self._attached_bytes > self.max_bytes
+                and len(self._attached) > 1):
+            shm, size = self._attached.pop(next(iter(self._attached)))
+            self._attached_bytes -= size
+            _quiet_close(shm)
 
     @staticmethod
     def _read_header(shm) -> tuple[int, int] | None:
@@ -327,7 +336,7 @@ class SegmentStore:
             for digest in list(self._owned):
                 self._unlink_owned(digest)
             attached, self._attached = self._attached, {}
-            self._verified = set()
+            self._attached_bytes = 0
         for shm, _ in attached.values():
             _quiet_close(shm)
 

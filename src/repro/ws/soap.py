@@ -11,6 +11,10 @@ Typing uses XML-Schema primitives (``xsd:string``/``int``/``double``/
 ``boolean``), ``xsd:base64Binary`` for byte payloads and a toolkit extension
 type ``repro:json`` for structured values (option lists, tree graphs), which
 the 2005 toolkit would have modelled as nested complex types.
+
+Decode only parses: a ``repro:payloadRef`` parameter comes back as the
+:class:`~repro.ws.payload.PayloadRef` it is (digest shape checked), for
+the container to resolve or a relay to forward unopened.
 """
 
 from __future__ import annotations
@@ -174,9 +178,12 @@ def _decode_value(el: ET.Element,
     if type_attr.endswith("json"):
         return json.loads(text) if text else None
     if type_attr.endswith("payloadRef"):
-        return payload.resolve(el.get("digest", ""),
-                               el.get("kind", "str"),
-                               el.get("via", ""))
+        # decode parses: whoever dispatches the call resolves the ref
+        # (payload.resolve_refs), a relay forwards it unopened
+        size = el.get("size", "")
+        return PayloadRef(payload.well_formed(el.get("digest", "")),
+                          int(size) if size.isdigit() else 0,
+                          el.get("kind", "str"), el.get("via", ""))
     return text
 
 
@@ -383,29 +390,27 @@ def _decode_request(envelope: ET.Element,
             if call_el.tag.rsplit("}", 1)[-1] != "Call":
                 raise ServiceError(
                     "multicall body may only carry <repro:Call> items")
-            sub_params = {
-                child.tag.rsplit("}", 1)[-1]: _decode_value(child, parts)
-                for child in call_el}
-            payload.absorb_params(sub_params)
-            calls.append(SubCall(call_el.get("operation", ""), sub_params))
-        trace_id, parent_span_id = _decode_trace_header(envelope)
-        principal, priority = _decode_caller_header(envelope)
-        return SoapRequest(service=service, operation=MULTICALL_OP,
-                           params={"calls": calls}, trace_id=trace_id,
-                           parent_span_id=parent_span_id,
-                           deadline_s=_decode_deadline_header(envelope),
-                           principal=principal, priority=priority)
-    params = {child.tag.rsplit("}", 1)[-1]: _decode_value(child, parts)
-              for child in op}
-    # remember large inline payloads so the peer's next send of the
-    # same content can travel as a <repro:payloadRef> element
-    payload.absorb_params(params)
+            calls.append(SubCall(call_el.get("operation", ""),
+                                 _decode_params(call_el, parts)))
+        params = {"calls": calls}
+    else:
+        params = _decode_params(op, parts)
     trace_id, parent_span_id = _decode_trace_header(envelope)
     principal, priority = _decode_caller_header(envelope)
     return SoapRequest(service=service, operation=local, params=params,
                        trace_id=trace_id, parent_span_id=parent_span_id,
                        deadline_s=_decode_deadline_header(envelope),
                        principal=principal, priority=priority)
+
+
+def _decode_params(parent: ET.Element, parts: Attachments) -> dict:
+    """One call's parameters: large inline values are remembered, so the
+    peer's next send of the same content can travel as a
+    ``<repro:payloadRef>``; a ref stays the :class:`PayloadRef` it is."""
+    params = {child.tag.rsplit("}", 1)[-1]: _decode_value(child, parts)
+              for child in parent}
+    payload.absorb_params(params)
+    return params
 
 
 def _decode_trace_header(envelope: ET.Element) -> tuple[str, str]:

@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass
 from urllib.parse import quote, unquote, urlparse
 
+from repro.data.cache import digest_scope
 from repro.errors import DeadlineExceeded, OverloadedError, TransportError
 from repro.ws import payload, pipeline, shm, soap
 from repro.ws.container import ServiceContainer
@@ -131,6 +132,7 @@ class ChainedTransport(Transport):
         ctx.properties["same_host"] = self.same_host()
         return ctx
 
+    @digest_scope()  # joins the scope of a request being served
     def send(self, request: SoapRequest) -> SoapResponse:
         """Deliver one SOAP request; returns the SOAP response."""
         ctx = self._context(request)
@@ -162,7 +164,7 @@ class InProcessTransport(ChainedTransport):
                   ctx: CallContext) -> SoapResponse:
         wire = soap.encode_request(request)
         self.bytes_sent += len(wire)
-        decoded = soap.decode_request(wire)  # resolves payload refs
+        decoded = soap.decode_request(wire)  # refs stay refs: invoke resolves
         try:
             response = self.container.invoke(decoded)
             wire_out = soap.encode_response(response)
@@ -475,8 +477,9 @@ class HttpTransport(ChainedTransport):
         async def terminal(outbound: SoapRequest) -> SoapResponse:
             return await self._exchange_async(outbound, ctx)
 
-        return await pipeline.run_chain_async(
-            self.interceptors, request, ctx, terminal)
+        with digest_scope():
+            return await pipeline.run_chain_async(
+                self.interceptors, request, ctx, terminal)
 
     async def _exchange_async(self, request: SoapRequest,
                               ctx: CallContext) -> SoapResponse:

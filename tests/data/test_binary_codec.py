@@ -81,6 +81,30 @@ def test_roundtrip_property(ds):
 
 @given(datasets())
 @settings(max_examples=40, deadline=None)
+def test_parse_dataset_reads_a_view_as_it_reads_bytes(ds):
+    """The sniffing parser decodes a mapped or attached frame in place:
+    whatever buffer carries it, the dataset is the one ``bytes`` gives,
+    and the parse memo keys all of them by the same content."""
+    from repro import obs
+    from repro.data import cache
+    frame = codec.encode(ds)
+    cache.reset_parse_cache()
+    obs.reset_metrics()
+    carriers = [frame, memoryview(frame), memoryview(bytearray(frame)),
+                memoryview(bytearray(b"pad" + frame))[3:].toreadonly()]
+    for doc in carriers:
+        assert_equal_datasets(ds, dataio.parse_dataset(doc))
+    if len(frame) >= cache.MIN_MEMO_BYTES:
+        counter = obs.get_metrics().counter
+        assert counter("ws.cache.parse.misses", kind="columnar").value == 1
+        assert counter("ws.cache.parse.hits", kind="columnar").value == \
+            len(carriers) - 1
+        assert counter("ws.cache.parse.bytes_saved", kind="columnar"
+                       ).value == (len(carriers) - 1) * len(frame)
+
+
+@given(datasets())
+@settings(max_examples=40, deadline=None)
 def test_byte_deterministic(ds):
     """Equal datasets yield byte-identical frames (idempotent re-encode)."""
     frame = codec.encode(ds)

@@ -190,9 +190,10 @@ def test_layering_rules_cover_the_ipc_plane():
 def test_ipc_bench_job_gates_and_uploads_the_report(workflow):
     """PERF-IPC: the bulk-tier A/Bs on >= 1 MB columnar frames run in CI
     — uds+shm vs tcp+attachments through the mesh (in-test gates: shm's
-    p50 no worse than the tcp arm's, at <= 1 % of its wire bytes) and
-    attachments vs the base64 fallback across one hop (>= 2x p50) —
-    and the JSON report lands as the ``ipc-bench`` artifact."""
+    p50 no worse than the tcp arm's, at <= 1 % of its wire bytes; the
+    tcp arm's by-ref repeat at <= 0.8 of its full send) and attachments
+    vs the base64 fallback across one hop (>= 2x p50) — and the JSON
+    report lands as the ``ipc-bench`` artifact."""
     job = workflow["jobs"]["ipc-bench"]
     text = steps_text(job)
     assert "benchmarks/test_bench_ipc.py" in text
@@ -202,6 +203,7 @@ def test_ipc_bench_job_gates_and_uploads_the_report(workflow):
             assert step["env"]["PYTHONHASHSEED"] == "0"
             # the step is named for the gates the bench file enforces
             assert "1 % wire bytes" in step["name"]
+            assert "by-ref repeat <= 0.8" in step["name"]
             assert "2x p50" not in step["name"]
     upload = next(step for step in job["steps"]
                   if "upload-artifact" in step.get("uses", ""))

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.data.cache import digest_scope
 from repro.errors import TransportError
 from repro.ws import payload, soap
 from repro.ws.admission import AdmissionController
@@ -284,11 +285,12 @@ class TestByReference:
 
     def test_first_send_attached_repeat_by_ref(self, probed):
         obs.enable_tracing()
-        for absorbed in (1, 2):
+        for absorbed in (1, 1):
             assert probed.send(SoapRequest(
                 "Desk", "measure", {"blob": BLOB})).result == len(BLOB)
             # the attached value is absorbed on receipt like an inline
-            # one (and, as ever, a resolved ref is re-stored)
+            # one; the repeat's ref resolves from the store and what it
+            # resolves to is not stored again
             assert counter("ws.payload.absorbed") == absorbed
         first, repeat = [
             span.attributes for span in
@@ -370,18 +372,25 @@ class TestNoSecondCopyOfAPart:
         assert decoded.params == {"blob": BLOB, "tag": "t",
                                   "more": BLOB[::-1]}
 
-    def test_a_relayed_part_is_stored_once(self):
-        """The hop that absorbed a part and forwards it hashes it again
-        but keeps the copy it has."""
+    def test_a_relayed_part_is_stored_once(self, monkeypatch):
+        """The hop that absorbed a part and forwards it keeps the copy
+        it has, and inside one request hashes each part once: absorb,
+        verified read and externalize share the digest (1, 1)."""
+        hashed = []
+        real = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data=b"": (
+            hashed.append(len(data)), real(data))[1])
         framed = valid_message()
-        request = soap.decode_request(*soap.unframe(*framed))
+        digest = real(BLOB).hexdigest()
         store = payload.get_payload_store()
-        digest = payload.digest_bytes(BLOB)
-        absorbed = store.get(digest)
-        assert absorbed == BLOB and isinstance(request.params["blob"],
-                                               memoryview)
-        payload.externalize(request, payload.PeerState())
-        assert store.get(digest) is absorbed
+        with digest_scope():
+            request = soap.decode_request(*soap.unframe(*framed))
+            absorbed = store.get(digest)
+            assert absorbed == BLOB and isinstance(request.params["blob"],
+                                                   memoryview)
+            payload.externalize(request, payload.PeerState())
+            assert store.get(digest) is absorbed
+        assert hashed == [len(BLOB), len(BLOB)]  # blob and more, once each
         assert len(store) == 2  # blob and more, nothing twice
 
 

@@ -63,7 +63,7 @@ class TestDefaultOrders:
 
     def test_server_chain_order(self):
         assert chain_names(default_server_handlers()) == \
-            ["trace", "resolve", "deadline", "multicall", "stats",
+            ["refs", "trace", "resolve", "deadline", "multicall", "stats",
              "cache", "lifecycle", "faults"]
 
     def test_insert_helpers_place_steps(self):

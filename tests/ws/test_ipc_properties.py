@@ -29,11 +29,12 @@ PROP = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 def ship_by_shm(doc):
-    """One same-host send: externalize → SOAP wire → decode.
+    """One same-host send: externalize → SOAP wire → decode → resolve.
 
-    ``decode_request`` resolves refs eagerly, and the payload store is
-    cleared between encode and decode, so the value handed back can
-    only have come from the mapped segment.
+    ``resolve_refs`` is what the container's first chain step does with
+    a decoded request, and the payload store is cleared between encode
+    and decode, so the value handed back can only have come from the
+    mapped segment.
     """
     peer = payload.PeerState()
     request = SoapRequest("Data", "validate", {"doc": doc})
@@ -46,7 +47,7 @@ def ship_by_shm(doc):
     wire = soap.encode_request(out)
     payload.reset_payload_store()
     before = payload.shm_counters().get("ws.shm.hits", 0)
-    decoded = soap.decode_request(wire)
+    decoded = payload.resolve_refs(soap.decode_request(wire))
     assert payload.shm_counters()["ws.shm.hits"] == before + 1
     return decoded.params["doc"]
 

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.ws import payload, shm
 from repro.ws.payload import PayloadMissError, PayloadRef
 from repro.ws.soap import SoapRequest
@@ -123,6 +124,97 @@ class TestSegmentStore:
             producer.close()
 
 
+class TestAttachedMappingsAreBounded:
+    """A consumer keeps a mapping per segment it attached; like owned
+    segments they are LRU-bounded by count and bytes."""
+
+    @staticmethod
+    def blob(i: int) -> bytes:
+        return bytes([i]) * 4096
+
+    @pytest.fixture
+    def stores(self):
+        producer = shm.SegmentStore()
+        consumer = shm.SegmentStore(max_segments=3)
+        yield producer, consumer
+        consumer.close()
+        producer.close()
+
+    def test_three_times_the_bound_keeps_the_bound(self, stores):
+        producer, consumer = stores
+        views = []
+        for i in range(9):
+            digest = payload.digest_bytes(self.blob(i))
+            assert producer.publish(digest, self.blob(i))
+            views.append(consumer.attach(digest))
+            assert len(consumer._attached) <= 3
+        assert list(consumer._attached) == [
+            payload.digest_bytes(self.blob(i)) for i in (6, 7, 8)]
+        assert consumer._attached_bytes == 3 * 4096
+        # an evicted mapping is disarmed, not torn from under its view
+        assert bytes(views[0]) == self.blob(0)
+
+    def test_the_byte_bound_holds_too(self, stores):
+        producer, _ = stores
+        consumer = shm.SegmentStore(max_bytes=10_000)
+        try:
+            for i in range(4):
+                digest = payload.digest_bytes(self.blob(i))
+                producer.publish(digest, self.blob(i))
+                assert consumer.attach(digest) is not None
+            assert len(consumer._attached) == 2
+            assert consumer._attached_bytes == 2 * 4096
+        finally:
+            consumer.close()
+
+    def test_an_attach_refreshes_recency(self, stores):
+        producer, consumer = stores
+        digests = [payload.digest_bytes(self.blob(i)) for i in range(4)]
+        for i, digest in enumerate(digests):
+            producer.publish(digest, self.blob(i))
+        for digest in digests[:3]:
+            consumer.attach(digest)
+        consumer.attach(digests[0])  # oldest becomes newest
+        consumer.attach(digests[3])
+        assert list(consumer._attached) == [digests[2], digests[0],
+                                            digests[3]]
+
+    def test_a_re_attach_of_an_evicted_digest_re_hashes(self, stores,
+                                                        monkeypatch):
+        import hashlib
+        producer, consumer = stores
+        hashed = []
+        real = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data=b"": (
+            hashed.append(len(data)), real(data))[1])
+        digests = [real(self.blob(i)).hexdigest() for i in range(4)]
+        for i, digest in enumerate(digests):
+            producer.publish(digest, self.blob(i))
+            consumer.attach(digest)
+        assert len(hashed) == 4 and digests[0] not in consumer._attached
+        consumer.attach(digests[3])  # still mapped: no second pass
+        assert len(hashed) == 4
+        assert bytes(consumer.attach(digests[0])) == self.blob(0)
+        assert len(hashed) == 5
+
+    def test_a_forged_segment_is_refused_after_eviction_too(self, stores):
+        """Eviction forgets the verification with the mapping: a segment
+        re-created under the same name with other bytes is refused."""
+        producer, consumer = stores
+        digest = payload.digest_bytes(self.blob(0))
+        producer.publish(digest, self.blob(0))
+        assert consumer.attach(digest) is not None
+        for i in range(1, 4):
+            other = payload.digest_bytes(self.blob(i))
+            producer.publish(other, self.blob(i))
+            consumer.attach(other)
+        assert digest not in consumer._attached
+        producer.release_owned()
+        assert producer.publish(digest, self.blob(9))  # the forgery
+        assert consumer.attach(digest) is None
+        assert digest not in consumer._attached
+
+
 class TestPayloadWiring:
     def test_same_host_send_goes_by_shm_ref_immediately(self):
         peer = payload.PeerState()
@@ -189,6 +281,36 @@ class TestPayloadWiring:
         out = payload.externalize(request, peer, same_host=True)
         assert out.params["dataset"] is BLOB
         assert "ws.shm.publishes" not in payload.shm_counters()
+
+    def test_a_relayed_shm_ref_stays_one_for_a_same_host_peer(self):
+        """A relay forwards the ref it was sent: the segment is visible
+        to every process of the host, so a same-host peer needs neither
+        the bytes nor to have been told before."""
+        sent = payload.externalize(
+            SoapRequest("Data", "validate", {"dataset": BLOB}),
+            payload.PeerState(), same_host=True)
+        ref = sent.params["dataset"]
+        peer = payload.PeerState()
+        relayed = payload.externalize(sent, peer, same_host=True)
+        assert relayed.params["dataset"] is ref and ref.via == "shm"
+        assert peer.knows(DIGEST)
+        counter = obs.get_metrics().counter
+        assert counter("ws.payload.ref_sends").value == 2
+        assert counter("ws.payload.bytes_saved").value == 2 * len(BLOB)
+        assert counter("ws.payload.inline_sends").value == 0
+
+    def test_a_relayed_shm_ref_goes_inline_to_a_cross_host_peer(self):
+        sent = payload.externalize(
+            SoapRequest("Data", "validate", {"dataset": BLOB}),
+            payload.PeerState(), same_host=True)
+        peer = payload.PeerState()
+        relayed = payload.externalize(sent, peer, same_host=False)
+        assert relayed.params["dataset"] == BLOB
+        assert obs.get_metrics().counter(
+            "ws.payload.inline_sends").value == 1
+        # it absorbs what arrived, so the next one may go by ref again
+        again = payload.externalize(sent, peer, same_host=False)
+        assert again.params["dataset"] is sent.params["dataset"]
 
     def test_externalized_ref_reinlines_for_an_amnesiac_peer(self):
         peer = payload.PeerState()
