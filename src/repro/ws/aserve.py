@@ -25,12 +25,14 @@ Attach admission *either* here (front door — recommended for this
 server) or on the container (the ``admission`` chain step, which also
 guards sync servers); attaching both would double-charge every call.
 
-Everything but the byte loop and that admission decision — routing,
-``Content-Length`` validation, the index, ``?wsdl``, the POST itself —
-is :class:`~repro.ws.pipeline.HttpGateway`, exactly like the threaded
-server, so both serving planes answer byte-identical envelopes.  This
-module is the *policy* plane: it may import admission and obs, but
-never circuit breakers or chaos (``tools/layering_lint.py``).
+Everything but that admission decision is shared with the threaded
+server: the bytes are :mod:`repro.ws.http11`'s (here through its asyncio
+driver), one connection's request loop is :func:`repro.ws.httpd.serve`,
+and routing, ``Content-Length`` validation, the index, ``?wsdl`` and the
+POST itself are :class:`~repro.ws.pipeline.HttpGateway` — so both
+serving planes answer byte-identical envelopes and refuse the same bad
+heads.  This module is the *policy* plane: it may import admission and
+obs, but never circuit breakers or chaos (``tools/layering_lint.py``).
 """
 
 from __future__ import annotations
@@ -39,36 +41,15 @@ import asyncio
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from http import HTTPStatus
 
 from repro.errors import OverloadedError
 from repro.obs import get_metrics
-from repro.ws import soap
+from repro.ws import http11, soap
 from repro.ws.admission import DEFAULT_RETRY_HINT_S, AdmissionController
 from repro.ws.container import ServiceContainer
-from repro.ws.httpd import HttpFront
-from repro.ws.pipeline import (HttpGateway, HttpReject, HttpResponse,
-                               http_response, service_of)
-
-#: Reading a request head (request line + headers) is bounded so a
-#: misbehaving client cannot balloon the loop's memory.
-_MAX_HEADER_BYTES = 32 * 1024
-
-
-async def _read_body(reader: asyncio.StreamReader, length: int) -> bytearray:
-    """The *length* bytes of a request body, copied into place as they
-    arrive.  ``readexactly`` would let the reader's own buffer grow to
-    the whole body and then copy it out — two body-sized allocations
-    per request, freed together, where one will do."""
-    body = bytearray(length)
-    at = 0
-    while at < length:
-        chunk = await reader.read(length - at)
-        if not chunk:
-            raise asyncio.IncompleteReadError(b"", length)
-        body[at:at + len(chunk)] = chunk
-        at += len(chunk)
-    return body
+from repro.ws.httpd import HttpFront, serve
+from repro.ws.pipeline import (HttpGateway, HttpResponse, http_response,
+                               service_of)
 
 
 class AsyncSoapHttpServer(HttpFront):
@@ -109,6 +90,7 @@ class AsyncSoapHttpServer(HttpFront):
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
         self._executor: ThreadPoolExecutor | None = None
+        self._open: dict[asyncio.Task, http11.AsyncConnection] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -150,13 +132,18 @@ class AsyncSoapHttpServer(HttpFront):
                 self._serve_connection, path=self.uds_path)
         self._started.set()
         try:
-            async with server:
-                if uds_server is not None:
-                    async with uds_server:
-                        await self._stop.wait()
-                else:
-                    await self._stop.wait()
+            await self._stop.wait()
         finally:
+            for listener in filter(None, (server, uds_server)):
+                listener.close()
+            # hang up before the loop exits (an idle connection closes at
+            # once, one mid-request answers first) and wait the handlers
+            # out: a task left for asyncio.run() to cancel is logged
+            for conn in self._open.values():
+                conn.hang_up()
+            if self._open:
+                await asyncio.wait(list(self._open),
+                                   timeout=http11.DRAIN_TIMEOUT_S)
             self._executor.shutdown(wait=False)
             if self.uds_path and os.path.exists(self.uds_path):
                 os.unlink(self.uds_path)
@@ -173,69 +160,13 @@ class AsyncSoapHttpServer(HttpFront):
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         get_metrics().counter("ws.aserve.connections").inc()
+        conn = http11.AsyncConnection(stream=(reader, writer))
+        task = asyncio.current_task()
+        self._open[task] = conn
         try:
-            while True:
-                head = await self._read_head(reader)
-                if head is None:
-                    return
-                method, target, headers = head
-                try:
-                    length = self.gateway.body_length(target, headers)
-                except HttpReject as reject:
-                    # the unread body is still queued: answer and hang up
-                    await self._write_response(writer, reject.response,
-                                               keep_alive=False)
-                    return
-                body = await _read_body(reader, length)
-                keep_alive = headers.get("connection", "").lower() != "close"
-                await self._write_response(
-                    writer, await self._handle(method, target, headers, body),
-                    keep_alive)
-                if not keep_alive:
-                    return
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                BrokenPipeError, asyncio.LimitOverrunError):
-            pass  # client went away mid-exchange; nothing to answer
+            await http11.run_async(serve(conn, self.gateway, self._handle))
         finally:
-            writer.close()
-
-    async def _read_head(self, reader: asyncio.StreamReader):
-        """``(method, target, lowercased headers)``, or ``None`` on EOF."""
-        try:
-            request_line = await reader.readline()
-        except ValueError:
-            return None
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
-        method, target = parts[0], parts[1]
-        headers: dict[str, str] = {}
-        total = len(request_line)
-        while True:
-            line = await reader.readline()
-            total += len(line)
-            if total > _MAX_HEADER_BYTES:
-                return None
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return method, target, headers
-
-    async def _write_response(self, writer: asyncio.StreamWriter,
-                              response: HttpResponse,
-                              keep_alive: bool) -> None:
-        status, headers, body = response
-        lines = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}"]
-        lines.extend(f"{name}: {value}" for name, value in headers.items())
-        lines.append(f"Content-Length: {len(body)}")
-        if not keep_alive and "Connection" not in headers:
-            lines.append("Connection: close")
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-        writer.write(body)
-        await writer.drain()
+            del self._open[task]
 
     # -- request handling ----------------------------------------------------
 

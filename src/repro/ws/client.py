@@ -9,20 +9,21 @@ A call runs the proxy's :mod:`repro.ws.pipeline` interceptor chain
 (deadline → breaker → trace → metrics by default, see
 :func:`repro.ws.pipeline.default_proxy_interceptors`) into
 ``transport.send``; pass ``interceptors=`` to install a custom chain.
+:func:`fetch_url` is one ``GET`` over :mod:`repro.ws.http11`.
 :class:`~repro.ws.transport.HttpTransport` itself lives in
 :mod:`repro.ws.transport` and is re-exported here for compatibility.
 """
 
 from __future__ import annotations
 
-import http.client
+import time
 from typing import Any
 from urllib.parse import urlparse
 
 from repro.data import cache as datacache
 from repro.errors import ServiceError, TransportError, WsdlError
 from repro.obs import get_metrics
-from repro.ws import pipeline, soap, wsdl
+from repro.ws import http11, pipeline, soap, wsdl
 from repro.ws import transport as transport_mod
 from repro.ws.soap import CallOutcome, SoapRequest, SubCall
 from repro.ws.transport import HttpTransport, Transport  # noqa: F401
@@ -34,31 +35,18 @@ def fetch_url(url: str, timeout: float = 30.0) -> str:
     Speaks ``http://`` and ``unix://`` (percent-encoded socket path as
     the authority), so WSDL import works over the same-host fast path.
     """
-    parsed = urlparse(url)
-    if parsed.scheme == "unix":
-        socket_path, _ = transport_mod.parse_unix_url(
-            url.split("?", 1)[0])
-        conn = transport_mod._UnixHTTPConnection(socket_path,
-                                                 timeout=timeout)
-        path = parsed.path or "/"
-    elif parsed.scheme == "http" and parsed.hostname:
-        conn = http.client.HTTPConnection(
-            parsed.hostname, parsed.port or 80, timeout=timeout)
-        path = parsed.path or "/"
-    else:
-        raise TransportError(f"unsupported URL {url!r}")
+    address, host, target = transport_mod.dial_coordinates(url)
+    conn = http11.Connection(address)
     try:
-        if parsed.query:
-            path += "?" + parsed.query
-        conn.request("GET", path)
-        response = conn.getresponse()
-        body = response.read()
-        conn.close()
-    except (OSError, http.client.HTTPException) as exc:
+        status, _, body = http11.run(http11.exchange(
+            conn, http11.format_request_head("GET", target, host,
+                                             {"Connection": "close"}),
+            [], time.monotonic() + timeout))
+    except (OSError, http11.BadHead) as exc:
         raise TransportError(f"cannot fetch {url!r}: {exc}") from exc
-    if response.status != 200:
-        raise TransportError(
-            f"GET {url} returned HTTP {response.status}")
+    conn.close()
+    if status != 200:
+        raise TransportError(f"GET {url} returned HTTP {status}")
     return body.decode("utf-8")
 
 

@@ -1,7 +1,7 @@
 """HTTP hosting of SOAP services (the Tomcat/Axis substitution).
 
 :class:`SoapHttpServer` hosts one :class:`~repro.ws.container
-.ServiceContainer` on a localhost port using a threading HTTP server:
+.ServiceContainer` on a localhost port, one thread per connection:
 
 * ``POST /services/<name>``            — SOAP invocation
 * ``GET  /services/<name>?wsdl``       — the service's WSDL document
@@ -16,79 +16,70 @@ Unix domain socket (``unix://`` endpoints, see
 :class:`~repro.ws.transport.UnixSocketTransport`) — the same-host fast
 path that skips the TCP loopback stack entirely.
 
-The handler here is a byte loop (head parsing, body read, response
-framing); routing, ``Content-Length`` validation and everything between
-"request arrived" and "bytes to answer with" live in
-:class:`repro.ws.pipeline.HttpGateway`, keeping this module free of
-policy imports (enforced by ``tools/layering_lint.py``).
-:class:`ThreadedListener` is the one threaded front: this server binds
-it to a container's gateway, the mesh gateway to its ingress.
+The bytes are :mod:`repro.ws.http11`'s; what a request means is
+:class:`repro.ws.pipeline.HttpGateway`'s.  Between them sits
+:func:`serve`, one connection's request loop — idle wait, bounded read,
+refusals (400/408/431/501 and the gateway's 400/413, all before the
+body is read or admitted), answer, keep-alive — written once and driven
+by :class:`ThreadedListener` here and by :mod:`repro.ws.aserve` on its
+event loop.  The listener is the one threaded front: this server binds
+it to a container's gateway, the mesh gateway to its ingress.  No policy
+imports (``tools/layering_lint.py``).
 """
 
 from __future__ import annotations
 
 import os
 import socket
-import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
 
 from repro.errors import ServiceError
+from repro.obs import get_metrics
+from repro.ws import http11
 from repro.ws.container import ServiceContainer
-from repro.ws.pipeline import HttpGateway, HttpReject, HttpResponse
+from repro.ws.pipeline import HttpGateway, HttpReject, http_response
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "ReproSOAP/1.0"
-    # HTTP/1.1 keep-alive: clients pool one connection across exchanges
-    # (every response carries Content-Length, so pipelined framing is
-    # unambiguous).  The client side heals pooled connections the server
-    # has since dropped — see HttpTransport's stale-retry.
-    protocol_version = "HTTP/1.1"
-    # one coalesced send per response (headers + body), and no Nagle
-    # stall on what remains: an un-buffered two-write response against
-    # a keep-alive connection costs a ~40ms delayed-ACK pause per call
-    wbufsize = -1
-    gateway: HttpGateway  # bound per listener
+def serve(conn, gateway: HttpGateway, handle):
+    """Answer requests on *conn* until it goes idle, asks to close or
+    sends something refused; steps for :func:`http11.run` /
+    :func:`http11.run_async`.  ``handle(method, target, headers, body)``
+    produces each response."""
+    def length_of(start, headers):
+        return gateway.body_length(start[1], headers)
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep test output clean; stats live on the container
-
-    def _send(self, response: HttpResponse) -> None:
-        self.send_response(response.status)
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(response.body)))
-        self.end_headers()
-        self.wfile.write(response.body)
-
-    def _serve(self) -> None:
-        headers = {name.lower(): value
-                   for name, value in self.headers.items()}
-        try:
-            length = self.gateway.body_length(self.path, headers)
-        except HttpReject as reject:
-            self.close_connection = True  # the unread body is still queued
-            self._send(reject.response)
-            return
-        self._send(self.gateway.handle(self.command, self.path, headers,
-                                       self.rfile.read(length)))
-
-    do_GET = do_POST = do_PUT = do_DELETE = _serve  # noqa: N815
-
-
-class _UnixThreadingHTTPServer(ThreadingHTTPServer):
-    """``ThreadingHTTPServer`` bound to an ``AF_UNIX`` stream socket."""
-
-    address_family = socket.AF_UNIX
-
-    def server_bind(self) -> None:
-        # HTTPServer.server_bind unpacks (host, port) and resolves the
-        # fqdn — meaningless for a filesystem address; bind raw and pin
-        # the HTTP-level identity instead
-        socketserver.TCPServer.server_bind(self)
-        self.server_name = "localhost"
-        self.server_port = 0
+    try:
+        while (yield from http11.idle(conn, http11.IDLE_TIMEOUT_S)):
+            deadline = time.monotonic() + http11.READ_DEADLINE_S
+            keep = False
+            try:
+                (method, target, version), headers, body = \
+                    yield from http11.receive(conn, length_of, deadline)
+            except HttpReject as reject:
+                response = reject.response  # metered by the gateway
+            except (http11.BadHead, TimeoutError) as exc:
+                status = getattr(exc, "status", 408)
+                get_metrics().counter("ws.http.requests", service="",
+                                      status=status).inc()
+                response = http_response(
+                    status, str(exc).encode(), "text/plain; charset=utf-8",
+                    connection="close")
+            else:
+                keep = http11.keep_alive(version, headers)
+                response = yield handle(method, target, headers, body)
+            # a refused request's body is still queued: answer and hang up
+            yield from http11.send(
+                conn, http11.format_response_head(
+                    response.status, response.headers, len(response.body),
+                    keep),
+                [response.body], time.monotonic() + http11.READ_DEADLINE_S)
+            if not keep:
+                return
+    except OSError:
+        pass  # the peer went away mid-exchange; nothing to answer
+    finally:
+        conn.close()
 
 
 class ThreadedListener:
@@ -96,26 +87,67 @@ class ThreadedListener:
     ``(host, port)`` pair, or a filesystem path for a Unix socket."""
 
     def __init__(self, gateway: HttpGateway, address, name: str):
-        tcp = not isinstance(address, str)
-        # TCP_NODELAY does not exist on AF_UNIX sockets (setup() would
-        # raise); there is no Nagle to disable there either
-        handler = type("BoundHandler", (_Handler,),
-                       {"gateway": gateway, "disable_nagle_algorithm": tcp})
-        self._httpd = (ThreadingHTTPServer if tcp
-                       else _UnixThreadingHTTPServer)(address, handler)
-        self.address = self._httpd.server_address
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True, name=name)
+        self._gateway = gateway
+        if isinstance(address, str):
+            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            self._sock.bind(address)
+            self._sock.listen(128)
+        else:
+            self._sock = socket.create_server(address, backlog=128)
+        self.address = self._sock.getsockname()
+        self._open: dict[http11.Connection, threading.Thread] = {}
+        self._lock = threading.Lock()
+        self._stopping = False
+        self._thread = threading.Thread(target=self._accept, daemon=True,
+                                        name=name)
 
     def start(self) -> None:
         """Serve in a background thread."""
         self._thread.start()
 
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._sock.accept()
+            except OSError:
+                if self._stopping:
+                    return  # stop() shut the listening socket
+                continue  # one aborted handshake is not the listener's end
+            if sock.family != socket.AF_UNIX:  # no Nagle to disable there
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = http11.Connection(stream=sock)
+            thread = threading.Thread(target=self._serve, args=(conn,),
+                                      daemon=True,
+                                      name=f"{self._thread.name}-conn")
+            with self._lock:
+                self._open[conn] = thread
+            thread.start()
+
+    def _serve(self, conn: http11.Connection) -> None:
+        try:
+            http11.run(serve(conn, self._gateway, self._gateway.handle))
+        finally:
+            with self._lock:
+                del self._open[conn]
+
     def stop(self) -> None:
-        """Shut down and release the socket."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=5)
+        """Stop accepting, hang up every connection — an idle one closes
+        at once, one mid-request answers first — and release the socket."""
+        self._stopping = True
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        except OSError:
+            pass  # never listened, or already stopped
+        self._sock.close()
+        if self._thread.is_alive():
+            self._thread.join(http11.DRAIN_TIMEOUT_S)
+        with self._lock:
+            draining = list(self._open.items())
+        deadline = time.monotonic() + http11.DRAIN_TIMEOUT_S
+        for conn, _ in draining:
+            conn.hang_up()
+        for _, thread in draining:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class HttpFront:

@@ -14,12 +14,14 @@ Three byte movers, all sharing one interface (:class:`Transport`):
   1 Gb/s testbed network: distribution effects are functions of message
   count and payload size, which the model captures explicitly.
 
-Since the handler-chain refactor these classes are *pure* byte movers:
-each implements only :meth:`ChainedTransport._exchange` (sockets,
-container dispatch, cost modelling), while the cross-cutting concerns —
-trace spans, metrics, deadline budgeting, payload-ref substitution,
-gzip negotiation — run as a :mod:`repro.ws.pipeline` interceptor chain
-around it.  Movers report telemetry only through the per-call
+These classes are *pure* byte movers: each implements only
+:meth:`ChainedTransport._exchange` (container dispatch, cost modelling,
+or pooled :mod:`repro.ws.http11` connections with the one stale retry —
+written once, as :meth:`HttpTransport._exchanging`, for ``send`` and
+``send_async`` alike), while the cross-cutting concerns — trace spans,
+metrics, deadline budgeting, payload-ref substitution, gzip negotiation
+— run as a :mod:`repro.ws.pipeline` interceptor chain around it.
+Movers report telemetry only through the per-call
 :class:`~repro.ws.pipeline.CallContext`; this module must not import
 :mod:`repro.obs`, :mod:`repro.ws.breaker` or :mod:`repro.chaos`
 (enforced by ``tools/layering_lint.py``).
@@ -27,10 +29,7 @@ around it.  Movers report telemetry only through the per-call
 
 from __future__ import annotations
 
-import asyncio
-import http.client
 import os
-import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from urllib.parse import quote, unquote, urlparse
 
 from repro.data.cache import digest_scope
 from repro.errors import DeadlineExceeded, OverloadedError, TransportError
-from repro.ws import payload, pipeline, shm, soap
+from repro.ws import http11, payload, pipeline, shm, soap
 from repro.ws.container import ServiceContainer
 from repro.ws.pipeline import CallContext
 from repro.ws.soap import SoapFault, SoapRequest, SoapResponse
@@ -56,14 +55,30 @@ def unix_url(socket_path: str, resource: str = "/") -> str:
         (resource if resource.startswith("/") else "/" + resource)
 
 
-def parse_unix_url(endpoint: str) -> tuple[str, str]:
-    """``(socket_path, resource_path)`` of a ``unix://`` endpoint URL."""
-    parsed = urlparse(endpoint)
+def dial_coordinates(url: str) -> tuple:
+    """``(address, host, target)`` of an ``http://`` or ``unix://`` URL:
+    what :mod:`repro.ws.http11` dials (a ``(host, port)`` pair or a
+    socket path), the ``Host`` header, and the request target."""
+    parsed = urlparse(url)
+    target = (parsed.path or "/") + \
+        ("?" + parsed.query if parsed.query else "")
     # netloc, not .hostname: hostname lowercases, and socket paths are
     # case-sensitive filesystem paths
-    if parsed.scheme != "unix" or not parsed.netloc:
+    if parsed.scheme == "unix" and parsed.netloc:
+        # AF_UNIX has no authority; a fixed Host keeps HTTP/1.1 valid
+        return unquote(parsed.netloc), "localhost", target
+    if parsed.scheme == "http" and parsed.hostname:
+        address = (parsed.hostname, parsed.port or 80)
+        return address, "%s:%d" % address, target
+    raise TransportError(f"unsupported endpoint {url!r}")
+
+
+def parse_unix_url(endpoint: str) -> tuple[str, str]:
+    """``(socket_path, request target)`` of a ``unix://`` endpoint URL."""
+    address, _, target = dial_coordinates(endpoint)
+    if not isinstance(address, str):
         raise TransportError(f"unsupported endpoint {endpoint!r}")
-    return unquote(parsed.netloc), parsed.path or "/"
+    return address, target
 
 
 class Transport:
@@ -202,15 +217,15 @@ class HttpTransport(ChainedTransport):
                  compress: bool = True, interceptors=None):
         self.endpoint = endpoint
         self._timeout = timeout
-        self._configure(endpoint)
-        # keep-alive pool: each logical call checks a connection out for
-        # exclusive use and returns it after a clean exchange, so
-        # concurrent callers never interleave request/response pairs on
-        # one socket (and never misattribute another call's staleness)
-        self._pool: list[http.client.HTTPConnection] = []
+        self._address, self._netloc, self._path = dial_coordinates(endpoint)
+        # keep-alive pools (blocking callers / the event loop's): each
+        # logical call checks a connection out for exclusive use and
+        # returns it after a clean exchange, so concurrent callers never
+        # interleave request/response pairs on one socket (and never
+        # misattribute another call's staleness)
+        self._pool: list[http11.Connection] = []
+        self._apool: list[http11.AsyncConnection] = []
         self._pool_lock = threading.Lock()
-        self._apool: list[tuple[asyncio.StreamReader,
-                                asyncio.StreamWriter]] = []
         self.compress = compress
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -220,21 +235,6 @@ class HttpTransport(ChainedTransport):
         # the peer's host boot id (X-Repro-Boot); learned the same way
         self.peer_boot = ""
         super().__init__(interceptors)
-
-    def _configure(self, endpoint: str) -> None:
-        """Parse *endpoint* into dial coordinates (subclass seam)."""
-        parsed = urlparse(endpoint)
-        if parsed.scheme != "http" or not parsed.hostname:
-            raise TransportError(f"unsupported endpoint {endpoint!r}")
-        self._host = parsed.hostname
-        self._port = parsed.port or 80
-        self._path = parsed.path or "/"
-        self._netloc = f"{self._host}:{self._port}"
-
-    def _new_connection(self) -> http.client.HTTPConnection:
-        """A fresh connection to the peer (subclass seam)."""
-        return http.client.HTTPConnection(
-            self._host, self._port, timeout=self._timeout)
 
     def speaks(self, codec: str) -> bool:
         """True once the server has advertised *codec* in a response."""
@@ -249,47 +249,12 @@ class HttpTransport(ChainedTransport):
         return pipeline.default_transport_interceptors(
             compress=self.compress)
 
-    #: The pooled keep-alive connection was closed by the server between
-    #: exchanges; a fresh connection deserves one silent retry.
-    _STALE_ERRORS = (http.client.RemoteDisconnected,
-                     http.client.BadStatusLine)
-
-    def _checkout(self) -> tuple[http.client.HTTPConnection, bool]:
-        """An exclusive connection for one logical call.
-
-        Returns ``(conn, reused)``: a pooled keep-alive connection when
-        one is idle (``reused=True`` — eligible for the one stale
-        retry), a fresh one otherwise.
-        """
-        with self._pool_lock:
-            if self._pool:
-                return self._pool.pop(), True
-        return self._new_connection(), False
-
-    def _checkin(self, conn: http.client.HTTPConnection) -> None:
-        with self._pool_lock:
-            self._pool.append(conn)
-
     def _deadline_timeout(self, request: SoapRequest) -> float:
         """Never wait on a socket longer than the remaining budget."""
         effective = self._timeout
         if request.deadline_s is not None:
             effective = min(effective, max(request.deadline_s, 1e-3))
         return effective
-
-    def _post(self, conn: http.client.HTTPConnection,
-              request: SoapRequest, wire: list, headers: dict):
-        effective = self._deadline_timeout(request)
-        conn.timeout = effective
-        if conn.sock is not None:
-            conn.sock.settimeout(effective)
-        # a lone chunk goes as the bytes it is: http.client walks an
-        # iterable slowly enough for the server to wake on the head alone
-        conn.request("POST", self._path,
-                     body=wire[0] if len(wire) == 1 else wire,
-                     headers=headers)
-        http_response = conn.getresponse()
-        return http_response, http_response.read()
 
     def _raise_unreachable(self, exc: Exception, request: SoapRequest,
                            ctx: CallContext) -> None:
@@ -373,188 +338,68 @@ class HttpTransport(ChainedTransport):
         # raises SoapFault on faults
         return soap.decode_response(envelope, attachments)
 
-    def _exchange(self, request: SoapRequest,
-                  ctx: CallContext) -> SoapResponse:
+    def _exchanging(self, request: SoapRequest, ctx: CallContext,
+                    pool: list, connection):
+        """One logical call as steps for :func:`http11.run` /
+        :func:`http11.run_async`: POST on a pooled *connection* (a fresh
+        one when *pool* is empty), heal a stale one, pool it again."""
         wire, sent, headers = self._prepare(request, ctx)
         self.bytes_sent += sent
-        conn, reused = self._checkout()
+        head = http11.format_request_head("POST", self._path, self._netloc,
+                                          headers)
+        # the budget bounds the whole exchange, not each read
+        deadline = time.monotonic() + self._deadline_timeout(request)
+        with self._pool_lock:
+            conn = pool.pop() if pool else connection(self._address)
         try:
-            http_response, body = self._post(conn, request, wire, headers)
-        except self._STALE_ERRORS as exc:
-            conn.close()
-            if not reused:
-                self._raise_unreachable(exc, request, ctx)
-            # a keep-alive connection pooled from an earlier exchange
-            # went stale under us; that says nothing about endpoint
-            # health, so retry once on a fresh connection instead of
-            # surfacing a failure to the retry/breaker layers.  The
-            # retry connection is this call's own — concurrent callers
-            # hold their own checkouts, so exactly one retry happens
-            # per logical call and the breaker sees at most one verdict
-            conn, reused = self._new_connection(), False
-            ctx.note("stale_retry", True)
-            ctx.emit_counter("ws.transport.stale_retries")
             try:
-                http_response, body = self._post(conn, request, wire,
-                                                 headers)
-            except (OSError, http.client.HTTPException) as retry_exc:
-                conn.close()
-                self._raise_unreachable(retry_exc, request, ctx)
-        except (OSError, http.client.HTTPException) as exc:
-            conn.close()
+                answer = yield from http11.exchange(conn, head, wire, deadline)
+            except http11.StaleConnection:
+                if not conn.reused:
+                    raise
+                # closed under us while pooled: that says nothing about
+                # endpoint health, so retry on a connection of this
+                # call's own.  A fresh one is never stale — one retry per
+                # logical call, at most one verdict for the breaker
+                ctx.note("stale_retry", True)
+                ctx.emit_counter("ws.transport.stale_retries")
+                conn = connection(self._address)
+                answer = yield from http11.exchange(conn, head, wire, deadline)
+        except (OSError, http11.BadHead) as exc:
             self._raise_unreachable(exc, request, ctx)
-        self._checkin(conn)
-        return self._finish(request, ctx, sent, body, http_response.status,
-                            {name.lower(): value for name, value
-                             in http_response.getheaders()})
+        with self._pool_lock:
+            pool.append(conn)
+        status, response_headers, body = answer
+        return self._finish(request, ctx, sent, body, status,
+                            response_headers)
 
-    # -- native asyncio exchange --------------------------------------------
-
-    _ASYNC_STALE_ERRORS = (ConnectionResetError, BrokenPipeError,
-                           asyncio.IncompleteReadError)
-
-    def _checkout_async(self) -> tuple[tuple[asyncio.StreamReader,
-                                             asyncio.StreamWriter] | None,
-                                       bool]:
-        """A pooled stream pair, or ``(None, False)`` to dial fresh.
-
-        Only ever called on the owning event loop, so the bare list
-        needs no lock.
-        """
-        if self._apool:
-            return self._apool.pop(), True
-        return None, False
-
-    async def _dial(self) -> tuple[asyncio.StreamReader,
-                                   asyncio.StreamWriter]:
-        return await asyncio.open_connection(self._host, self._port)
-
-    async def _post_async(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter,
-                          wire: list, headers: dict
-                          ) -> tuple[int, dict, bytes]:
-        """One raw HTTP/1.1 POST over asyncio streams.
-
-        Returns ``(status, lowercased headers, body)``.  An empty read
-        on the status line surfaces as ``IncompleteReadError`` — the
-        stale-connection signal, same as the sync path's
-        ``RemoteDisconnected``.
-        """
-        lines = [f"POST {self._path} HTTP/1.1",
-                 f"Host: {self._netloc}"]
-        lines.extend(f"{name}: {value}" for name, value in headers.items())
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-        for chunk in wire:
-            writer.write(chunk)
-        await writer.drain()
-
-        status_line = await reader.readuntil(b"\r\n")
-        parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise TransportError(
-                f"malformed status line from {self.endpoint}: "
-                f"{status_line!r}")
-        status = int(parts[1])
-        response_headers: dict[str, str] = {}
-        while True:
-            line = (await reader.readuntil(b"\r\n")).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
-                break
-            name, _, value = line.partition(":")
-            response_headers[name.strip().lower()] = value.strip()
-        length = response_headers.get("content-length")
-        if length is None:
-            raise TransportError(
-                f"{self.endpoint} answered without Content-Length")
-        body = await reader.readexactly(int(length))
-        return status, response_headers, body
+    def _exchange(self, request: SoapRequest,
+                  ctx: CallContext) -> SoapResponse:
+        return http11.run(self._exchanging(request, ctx, self._pool,
+                                           http11.Connection))
 
     async def send_async(self, request: SoapRequest) -> SoapResponse:
         """:meth:`send` from an event loop: the same interceptor chain
-        under the async driver, into :meth:`_exchange_async`."""
+        under the async driver, the same exchange on asyncio streams —
+        no thread is held while the server works."""
         ctx = self._context(request)
 
         async def terminal(outbound: SoapRequest) -> SoapResponse:
-            return await self._exchange_async(outbound, ctx)
+            return await http11.run_async(self._exchanging(
+                outbound, ctx, self._apool, http11.AsyncConnection))
 
         with digest_scope():
             return await pipeline.run_chain_async(
                 self.interceptors, request, ctx, terminal)
 
-    async def _exchange_async(self, request: SoapRequest,
-                              ctx: CallContext) -> SoapResponse:
-        """The sync exchange's semantics on asyncio streams.
-
-        Same keep-alive pooling (per-loop), same single stale retry for
-        pooled connections, same deadline-bounded socket wait — but no
-        thread is held while the server works.
-        """
-        wire, sent, headers = self._prepare(request, ctx)
-        self.bytes_sent += sent
-        effective = self._deadline_timeout(request)
-
-        async def attempt(pair, reused):
-            if pair is None:
-                pair = await self._dial()
-            try:
-                result = await asyncio.wait_for(
-                    self._post_async(pair[0], pair[1], wire, headers),
-                    timeout=effective)
-            except BaseException:
-                pair[1].close()
-                raise
-            return pair, result
-
-        pair, reused = self._checkout_async()
-        try:
-            try:
-                pair, (status, response_headers, body) = \
-                    await attempt(pair, reused)
-            except self._ASYNC_STALE_ERRORS as exc:
-                if not reused:
-                    self._raise_unreachable(exc, request, ctx)
-                ctx.note("stale_retry", True)
-                ctx.emit_counter("ws.transport.stale_retries")
-                try:
-                    pair, (status, response_headers, body) = \
-                        await attempt(None, False)
-                except (OSError, asyncio.IncompleteReadError) as retry_exc:
-                    self._raise_unreachable(retry_exc, request, ctx)
-        except asyncio.TimeoutError as exc:
-            self._raise_unreachable(TimeoutError(str(exc) or "timed out"),
-                                    request, ctx)
-        except (OSError, asyncio.IncompleteReadError) as exc:
-            self._raise_unreachable(exc, request, ctx)
-        self._apool.append(pair)
-        return self._finish(request, ctx, sent, body, status,
-                            response_headers)
-
     def close(self) -> None:
         """Release underlying resources."""
         with self._pool_lock:
-            pool, self._pool = self._pool, []
-        for conn in pool:
+            idle = self._pool + self._apool
+            self._pool.clear()
+            self._apool.clear()
+        for conn in idle:
             conn.close()
-        apool, self._apool = self._apool, []
-        for _, writer in apool:
-            try:
-                writer.close()
-            except RuntimeError:
-                pass  # owning event loop already closed; socket dies with it
-
-
-class _UnixHTTPConnection(http.client.HTTPConnection):
-    """``http.client`` plumbing over an ``AF_UNIX`` stream socket."""
-
-    def __init__(self, socket_path: str, timeout: float):
-        super().__init__("localhost", timeout=timeout)
-        self._socket_path = socket_path
-
-    def connect(self) -> None:
-        self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        if self.timeout is not None:
-            self.sock.settimeout(self.timeout)
-        self.sock.connect(self._socket_path)
 
 
 class UnixSocketTransport(HttpTransport):
@@ -572,18 +417,6 @@ class UnixSocketTransport(HttpTransport):
     """
 
     kind = "uds"
-
-    def _configure(self, endpoint: str) -> None:
-        self._socket_path, self._path = parse_unix_url(endpoint)
-        # AF_UNIX has no authority; a fixed Host keeps HTTP/1.1 valid
-        self._netloc = "localhost"
-
-    def _new_connection(self) -> http.client.HTTPConnection:
-        return _UnixHTTPConnection(self._socket_path, self._timeout)
-
-    async def _dial(self) -> tuple[asyncio.StreamReader,
-                                   asyncio.StreamWriter]:
-        return await asyncio.open_unix_connection(self._socket_path)
 
 
 def transport_for(endpoint: str, *, timeout: float = 30.0,

@@ -74,6 +74,9 @@ def steps_text(job):
 def test_tier1_suite_runs_in_matrix_job(workflow):
     text = steps_text(workflow["jobs"]["test"])
     assert "PYTHONPATH=src python -m pytest -x -q" in text
+    # a listener teardown that waits out a poll again (0.50 s / 1.00 s
+    # entries) shows up in the log
+    assert "--durations=10" in text
 
 
 def test_ledger_suite_runs_in_ci(workflow):
@@ -169,7 +172,34 @@ def test_layering_rules_keep_failover_policy_only():
     for banned in ("repro.chaos", "repro.ws.transport", "repro.ws.httpd",
                    "repro.ws.aserve", "repro.ws.soap"):
         assert banned in failover, banned
-    assert len(lint.RULES) <= 17
+    assert len(lint.RULES) <= 18
+
+
+def test_layering_rules_keep_http_in_one_module(tmp_path, monkeypatch):
+    """HTTP/1.1 is written once: no module under ``src/repro/`` imports
+    the stdlib's client, server or ``socketserver`` (tests keep
+    ``http.client`` as the independent reference), and the byte layer
+    itself knows nothing of ``repro`` but its errors."""
+    lint = _load_layering_lint()
+    stdlib = ("http.client", "http.server", "socketserver")
+    for module in ("src/repro/ws/transport.py", "src/repro/ws/http11.py",
+                   "src/repro/ws/mesh/gateway.py",
+                   "src/repro/services/deploy.py"):
+        for banned in stdlib:
+            assert banned in lint.forbidden_for(module), (module, banned)
+    assert lint.ONLY["src/repro/ws/http11.py"] == ("repro.errors",)
+    # the checker sees every spelling of an import
+    module = tmp_path / "src/repro/ws/http11.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("from http import client\n"
+                      "def late():\n    import socketserver\n"
+                      "from repro.ws import soap\nimport repro.obs\n"
+                      "from repro.errors import TransportError\n"
+                      "from http import HTTPStatus\nimport reprolib\n")
+    monkeypatch.setattr(lint, "REPO", tmp_path)
+    problems = lint.check("src/repro/ws/http11.py", stdlib)
+    assert sorted(problem.split(":")[1] for problem in problems) == \
+        ["1", "3", "4", "5"]
 
 
 def test_layering_rules_cover_the_ipc_plane():

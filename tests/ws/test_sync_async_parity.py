@@ -13,14 +13,17 @@ values.
 
 import asyncio
 import random
+import socket
 import string
+import struct
+import threading
 
 import pytest
 
 from repro import obs
 from repro.errors import (CircuitOpenError, DeadlineExceeded,
                           TransportError)
-from repro.ws import payload
+from repro.ws import payload, soap
 from repro.ws.aserve import AsyncSoapHttpServer
 from repro.ws.breaker import CircuitBreaker
 from repro.ws.client import ServiceProxy, fetch_url
@@ -224,3 +227,103 @@ def test_call_and_call_async_are_indistinguishable(server, scheme,
     assert observed["async"][0] == outcomes
     assert observed["async"][1] == spans
     assert observed["async"][2] == counters
+
+
+# -- one stale rule, one no-length rule --------------------------------------
+
+class _ScriptedPeer:
+    """A tcp peer that answers each request on each connection with the
+    next entry of *script*: ``("answer", body)`` keeps the connection
+    open, ``("answer+reset", body)`` answers and then resets it (what a
+    restarted server's kernel does to a pooled connection),
+    ``("no-length", body)`` answers without ``Content-Length`` and
+    closes."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.endpoint = "http://127.0.0.1:%d/services/Desk" % \
+            self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        sock = None
+        while self.script:
+            if sock is None:
+                sock, _ = self.listener.accept()
+            received = b""
+            while b"\r\n\r\n" not in received:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+            if not received:
+                sock.close()
+                sock = None
+                continue
+            head, _, body = received.partition(b"\r\n\r\n")
+            length = int(head.lower().split(b"content-length:")[1]
+                         .split(b"\r\n")[0])
+            while len(body) < length:
+                body += sock.recv(65536)
+            kind, answer = self.script.pop(0)
+            if kind == "no-length":
+                sock.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: text/xml"
+                             b"\r\n\r\n" + answer)
+                sock.close()
+                sock = None
+                continue
+            sock.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(answer) + answer)
+            if kind == "answer+reset":
+                # SO_LINGER 0: close() sends RST, so the client's next
+                # write or read on it fails with reset / broken pipe
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+                sock.close()
+                sock = None
+        self.listener.close()
+
+
+def _greeting(name: str) -> bytes:
+    return soap.encode_response(
+        soap.SoapResponse("Desk", "greet", f"hello {name}"))
+
+
+def test_reset_on_reuse_and_a_response_without_length_are_one_rule(server):
+    """A reused connection the peer reset is stale — one retry, no
+    transport error — and a response without ``Content-Length`` is a
+    ``TransportError``: on ``call`` and on ``call_async`` alike."""
+    document = fetch_url(server.wsdl_url("Desk"))
+    observed = {}
+    for mode in ("sync", "async"):
+        obs.reset_metrics()
+        peer = _ScriptedPeer([("answer+reset", _greeting("ada")),
+                              ("answer", _greeting("bob")),
+                              ("no-length", _greeting("cy"))])
+        proxy = _proxy(document, peer.endpoint)
+        try:
+            if mode == "sync":
+                outcomes = [
+                    _outcome(lambda n=n: proxy.call("greet", name=n))
+                    for n in ("ada", "bob", "cy")]
+            else:
+                async def drive():
+                    return [await _outcome_async(
+                        lambda n=n: proxy.call_async("greet", name=n))
+                        for n in ("ada", "bob", "cy")]
+                outcomes = asyncio.run(drive())
+        finally:
+            proxy.close()
+            peer.thread.join(5)
+        # each mode's peer has its own port: compare by label names
+        observed[mode] = (outcomes, {
+            (name, tuple(key if key == "endpoint" else (key, value)
+                         for key, value in labels)): count
+            for (name, labels), count in _counters().items()})
+    outcomes, counters = observed["sync"]
+    assert outcomes == ["hello ada", "hello bob", TransportError]
+    assert counters[("ws.transport.stale_retries", ())] == 1
+    assert counters[("ws.transport.errors", (("transport", "http"),))] == 1
+    assert observed["async"] == observed["sync"]

@@ -1,11 +1,12 @@
 """Stale keep-alive recovery in :class:`HttpTransport`.
 
 A server may close a pooled keep-alive connection between exchanges
-(idle timeout, restart).  The next POST on the stale socket fails with
-``RemoteDisconnected``/``BadStatusLine`` even though the endpoint is
-healthy — that deserves one silent retry on a fresh connection, not a
-:class:`TransportError` fed to the breaker.  A fresh connection that
-fails the same way keeps failing loudly: that *is* endpoint health.
+(idle timeout, restart).  The next POST on the stale socket fails
+before a single response byte arrives even though the endpoint is
+healthy — :class:`repro.ws.http11.StaleConnection`, which deserves one
+silent retry on a fresh connection, not a :class:`TransportError` fed to
+the breaker.  A fresh connection that fails the same way keeps failing
+loudly: that *is* endpoint health.
 
 Connections live in a checkout/checkin pool so concurrent callers each
 own their socket for the duration of one logical call: no interleaved
@@ -13,14 +14,13 @@ request/response pairs, at most one stale retry per call, and no
 spuriously double-counted breaker verdicts under a racing client pool.
 """
 
-import http.client
 import threading
 
 import pytest
 
 from repro import obs
 from repro.errors import TransportError
-from repro.ws import wsdl
+from repro.ws import http11, wsdl
 from repro.ws.breaker import CircuitBreaker
 from repro.ws.client import HttpTransport, ServiceProxy
 from repro.ws.container import ServiceContainer
@@ -46,34 +46,37 @@ def server():
         yield srv
 
 
-def _flaky_post(transport, fail_times: int):
-    """Wrap ``transport._post`` to raise RemoteDisconnected *fail_times*
-    times before delegating to the real implementation."""
-    real_post = transport._post
+def _flaky_exchange(monkeypatch, fail_times: int):
+    """Wrap ``http11.exchange`` — the one seam every POST goes through —
+    to raise StaleConnection *fail_times* times before delegating to the
+    real steps."""
+    real_exchange = http11.exchange
     state = {"calls": 0}
     lock = threading.Lock()
 
-    def post(conn, request, wire, headers):
+    def exchange(conn, head, chunks, deadline):
         with lock:
             state["calls"] += 1
             fail = state["calls"] <= fail_times
         if fail:
-            raise http.client.RemoteDisconnected(
-                "Remote end closed connection without response")
-        return real_post(conn, request, wire, headers)
+            conn.close()
+            raise http11.StaleConnection(
+                "peer closed the connection without a response")
+        return (yield from real_exchange(conn, head, chunks, deadline))
 
-    transport._post = post
+    monkeypatch.setattr(http11, "exchange", exchange)
     return state
 
 
 class TestStaleKeepAlive:
-    def test_pooled_connection_gone_stale_retries_once(self, server):
+    def test_pooled_connection_gone_stale_retries_once(self, server,
+                                                       monkeypatch):
         transport = HttpTransport(server.endpoint("Greeter"))
         request = SoapRequest("Greeter", "greet", {"name": "ada"})
         assert transport.send(request).result == "hello ada"  # pools conn
         assert len(transport._pool) == 1
 
-        state = _flaky_post(transport, fail_times=1)
+        state = _flaky_exchange(monkeypatch, fail_times=1)
         response = transport.send(
             SoapRequest("Greeter", "greet", {"name": "bob"}))
         assert response.result == "hello bob"
@@ -85,9 +88,10 @@ class TestStaleKeepAlive:
             "ws.transport.errors", transport="http").value == 0
         transport.close()
 
-    def test_fresh_connection_disconnect_is_a_real_failure(self, server):
+    def test_fresh_connection_disconnect_is_a_real_failure(self, server,
+                                                           monkeypatch):
         transport = HttpTransport(server.endpoint("Greeter"))
-        state = _flaky_post(transport, fail_times=1)
+        state = _flaky_exchange(monkeypatch, fail_times=1)
         with pytest.raises(TransportError):
             transport.send(SoapRequest("Greeter", "greet",
                                        {"name": "ada"}))
@@ -96,12 +100,13 @@ class TestStaleKeepAlive:
             "ws.transport.stale_retries").value == 0
         transport.close()
 
-    def test_retry_failing_too_surfaces_transport_error(self, server):
+    def test_retry_failing_too_surfaces_transport_error(self, server,
+                                                        monkeypatch):
         transport = HttpTransport(server.endpoint("Greeter"))
         request = SoapRequest("Greeter", "greet", {"name": "ada"})
         transport.send(request)  # pool a healthy connection
 
-        state = _flaky_post(transport, fail_times=2)
+        state = _flaky_exchange(monkeypatch, fail_times=2)
         with pytest.raises(TransportError):
             transport.send(SoapRequest("Greeter", "greet",
                                        {"name": "bob"}))
@@ -183,38 +188,39 @@ class TestConcurrentClients:
         assert len(transport._pool) <= self.N_THREADS
         transport.close()
 
-    def test_stale_retry_under_race_is_per_call(self, server):
+    def test_stale_retry_under_race_is_per_call(self, server, monkeypatch):
         """Two callers racing over a pool of stale connections each get
         their own single retry; neither observes the other's."""
         transport = HttpTransport(server.endpoint("Greeter"))
         # pool two healthy keep-alive connections
         first = transport.send(
             SoapRequest("Greeter", "greet", {"name": "a"}))
-        conn_extra, _ = transport._checkout()
+        conn_extra = transport._pool.pop()  # checked out: b dials its own
         second = transport.send(
             SoapRequest("Greeter", "greet", {"name": "b"}))
-        transport._checkin(conn_extra)
+        transport._pool.append(conn_extra)
         assert first.result == "hello a" and second.result == "hello b"
         assert len(transport._pool) == 2
 
-        # fail each caller's *first* post (their pooled, "stale"
+        # fail each caller's *first* exchange (their pooled, "stale"
         # connection) — a global fail-counter would race: one caller
         # could absorb both failures and exhaust its single retry
-        real_post = transport._post
+        real_exchange = http11.exchange
         local = threading.local()
         state = {"calls": 0}
         lock = threading.Lock()
 
-        def post(conn, request, wire, headers):
+        def exchange(conn, head, chunks, deadline):
             with lock:
                 state["calls"] += 1
             if not getattr(local, "failed", False):
                 local.failed = True
-                raise http.client.RemoteDisconnected(
-                    "Remote end closed connection without response")
-            return real_post(conn, request, wire, headers)
+                conn.close()
+                raise http11.StaleConnection(
+                    "peer closed the connection without a response")
+            return (yield from real_exchange(conn, head, chunks, deadline))
 
-        transport._post = post
+        monkeypatch.setattr(http11, "exchange", exchange)
         results: list[str] = []
         errors: list[BaseException] = []
 
@@ -234,7 +240,7 @@ class TestConcurrentClients:
             thread.join(timeout=30)
         assert errors == []
         assert sorted(results) == ["hello x", "hello y"]
-        # four posts: each call burned one stale attempt + one retry
+        # four exchanges: each call burned one stale attempt + one retry
         assert state["calls"] == 4
         assert obs.get_metrics().counter(
             "ws.transport.stale_retries").value == 2

@@ -18,6 +18,7 @@ Exit status 0 = clean, 1 = violations (listed on stderr).
 from __future__ import annotations
 
 import ast
+import functools
 import sys
 from pathlib import Path
 
@@ -31,6 +32,10 @@ SRC = REPO / "src"
 #: only; the client keeps a narrow obs exception for its WSDL-fetch
 #: cache counters.
 RULES: dict[str, tuple[str, ...]] = {
+    # HTTP/1.1 is written once, in repro.ws.http11: the stdlib's client,
+    # server and socketserver stay out of the package (tests keep
+    # http.client as the independent interop client and reference)
+    "src/repro/": ("http.client", "http.server", "socketserver"),
     "src/repro/ws/transport.py": ("repro.obs", "repro.ws.breaker",
                                   "repro.chaos", "repro.ws.scatter",
                                   "repro.ws.admission", "repro.ws.mesh"),
@@ -90,15 +95,26 @@ RULES: dict[str, tuple[str, ...]] = {
 }
 
 
+#: module path → the only ``repro`` modules it may import.  The byte
+#: layer sits under everything else in ``repro.ws``: it may raise the
+#: package's errors and know nothing more.
+ONLY: dict[str, tuple[str, ...]] = {
+    "src/repro/ws/http11.py": ("repro.errors",),
+}
+
+
 def imported_names(tree: ast.AST):
-    """Yield ``(lineno, module_name)`` for every import in *tree*."""
+    """Yield ``(lineno, module_name)`` for every import in *tree*; a
+    ``from x import y`` yields ``x.y`` (``from http import client`` is
+    an import of ``http.client``)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name
         elif isinstance(node, ast.ImportFrom):
             if node.module is not None and node.level == 0:
-                yield node.lineno, node.module
+                for alias in node.names:
+                    yield node.lineno, f"{node.module}.{alias.name}"
 
 
 def check(path: str, forbidden: tuple[str, ...]) -> list[str]:
@@ -112,16 +128,23 @@ def check(path: str, forbidden: tuple[str, ...]) -> list[str]:
                 problems.append(
                     f"{path}:{lineno}: imports {name!r} "
                     f"(layer {banned!r} is forbidden here)")
+        if path in ONLY and (name + ".").startswith("repro.") and \
+                not (name + ".").startswith(
+                    tuple(allowed + "." for allowed in ONLY[path])):
+            problems.append(
+                f"{path}:{lineno}: imports {name!r} (of repro, only "
+                f"{', '.join(ONLY[path])} may be imported here)")
     return problems
 
 
+@functools.lru_cache(maxsize=None)
 def governed(rule: str) -> list[str]:
     """The module paths one rule key governs: itself, or — for a
-    package prefix ending in ``/`` — every module in that package."""
+    package prefix ending in ``/`` — every module under that package."""
     if not rule.endswith("/"):
         return [rule]
     return sorted(str(path.relative_to(REPO))
-                  for path in (REPO / rule).glob("*.py"))
+                  for path in (REPO / rule).rglob("*.py"))
 
 
 def forbidden_for(path: str) -> tuple[str, ...]:
@@ -132,15 +155,16 @@ def forbidden_for(path: str) -> tuple[str, ...]:
 
 def main() -> int:
     failures: list[str] = []
-    count = 0
-    for rule, forbidden in sorted(RULES.items()):
+    checked: set[str] = set()
+    for rule in sorted({*RULES, *ONLY}):
         paths = governed(rule)
         if not paths or not all((REPO / p).exists() for p in paths):
             failures.append(f"{rule}: module missing (lint rules stale?)")
             continue
-        for path in paths:
-            failures.extend(check(path, forbidden))
-        count += len(paths)
+        checked.update(paths)
+    for path in sorted(checked):
+        failures.extend(check(path, forbidden_for(path)))
+    count = len(checked)
     if failures:
         print("layering violations:", file=sys.stderr)
         for line in failures:
