@@ -99,7 +99,8 @@ class LruCache:
 
     Optionally bounded by total payload bytes as well as entry count
     (callers pass ``weight`` per entry); both bounds hold after every
-    ``put``.
+    ``put``.  Picklable: the lock is left out and made anew, so a cache
+    held as instance state survives the §4.5 serialize lifecycle.
     """
 
     def __init__(self, max_entries: int, max_bytes: int | None = None):
@@ -109,6 +110,16 @@ class LruCache:
         self.max_bytes = max_bytes
         self._data: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
         self._bytes = 0
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        with self._lock:  # pickled from a snapshot, not the live dict
+            state = dict(self.__dict__, _data=self._data.copy())
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     def get(self, key: Hashable, default: Any = None) -> Any:

@@ -1,11 +1,23 @@
 """The workflow enactor.
 
 Executes a :class:`~repro.workflow.model.TaskGraph` as a dataflow: a task
-fires once every connected input has a value; independent tasks run
-concurrently on a thread pool (the paper's "once a network has been created
-it can be executed").  Execution emits :mod:`~repro.workflow.monitor` events
-so the §3 "service monitoring" requirement — watching jobs progress on
-remote resources — holds for local and service-backed tasks alike.
+fires once every connected input has a value (the paper's "once a network
+has been created it can be executed").  Execution emits
+:mod:`~repro.workflow.monitor` events so the §3 "service monitoring"
+requirement — watching jobs progress on remote resources — holds for local
+and service-backed tasks alike.
+
+Scheduling: ready tasks join one FIFO queue, and the thread that called
+:meth:`WorkflowEngine.run` runs its head.  Independent tasks run
+concurrently: the first time two tasks are ready at once, a pool of
+``max_workers - 1`` threads is made, so ``max_workers`` bounds the tasks
+in flight counting the enacting thread.  A linear chain — the §5 case
+study's readURL → J48 → extract → plot — therefore starts no thread, and
+``max_workers=1`` runs every task on the caller's thread in queue order.
+Each task runs in its own copy of the run's entry context: it sees the
+run's span and deadline, and a ContextVar one task sets never reaches
+the next.  After a fatal failure the tasks already queued still run;
+nothing new is queued.
 
 Fault tolerance (§3 category 2) hooks in per task: a
 :class:`~repro.workflow.faults.RetryPolicy` retries transient failures and
@@ -36,9 +48,11 @@ explicit ``middleware=[...]`` (as :mod:`repro.cli` wires) replaces it.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -116,13 +130,15 @@ class ChaosMiddleware(TaskMiddleware):
 
 
 class WorkflowEngine:
-    """Threaded dataflow enactor."""
+    """Dataflow enactor: the caller's thread, plus a pool for fan-outs."""
 
     def __init__(self, max_workers: int = 8,
                  events: EventBus | None = None,
                  retry_policy=None, allow_partial: bool = False,
                  clock: Clock = SYSTEM_CLOCK,
                  middleware: list[TaskMiddleware] | None = None):
+        if max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
         self.events = events or EventBus()
         self.retry_policy = retry_policy
@@ -184,9 +200,15 @@ class WorkflowEngine:
             pending[task.name] = needed
 
         lock = threading.Lock()
+        wake = threading.Condition(lock)  # the enacting thread idles on it
         errors: list[Exception] = []
-        done = threading.Event()
-        executor = ThreadPoolExecutor(max_workers=self.max_workers)
+        ready: deque[Task] = deque()  # FIFO: submission order
+        pool: ThreadPoolExecutor | None = None
+        pooled = 0  # pool threads holding a task
+        drains: list[Future] = []
+        # every task runs in its own copy of this: it sees the run's span
+        # and deadline, and no task's ContextVar writes reach another
+        entry = contextvars.copy_context()
         middleware = self.middleware
         if middleware is None:
             controller = chaos.active()
@@ -202,11 +224,6 @@ class WorkflowEngine:
                 elif key in values:
                     row[idx] = values[key]
             return row
-
-        def settled_count() -> int:
-            # caller holds the lock
-            return (len(result.durations) + len(result.failed)
-                    + len(result.skipped))
 
         def skip_downstream(name: str) -> list[str]:
             """Mark every task depending (transitively) on *name* as
@@ -237,38 +254,27 @@ class WorkflowEngine:
             # there isn't one
             fatal = not self.allow_partial or \
                 isinstance(exc, DeadlineExceeded)
-            skipped_now: list[str] = []
             with lock:
                 if fatal:
                     if isinstance(exc, DeadlineExceeded):
                         errors.append(exc)
                     else:
                         errors.append(EnactmentError(task.name, exc))
-                    done.set()
                     return
                 result.failed[task.name] = repr(exc)
                 skipped_now = skip_downstream(task.name)
-                finished = settled_count() == len(graph.tasks)
             for name in skipped_now:
                 self.events.emit(TaskEvent(
                     "task", name, "skipped",
                     detail=f"upstream task {task.name!r} failed"))
                 get_metrics().counter("workflow.task.skipped",
                                       graph=graph.name).inc()
-            if finished:
-                done.set()
 
         def execute(task: Task) -> None:
             self.events.emit(TaskEvent("task", task.name, "started"))
             start = time.perf_counter()
-            tracer = get_tracer()
             try:
-                # parent the task span on the run's root span explicitly:
-                # pool threads don't inherit the runner's contextvars —
-                # the same goes for the deadline scope reinstalled below
-                with tracer.span(f"task:{task.name}",
-                                 parent=wf_span) as task_span, \
-                        deadline_scope(deadline):
+                with get_tracer().span(f"task:{task.name}") as task_span:
                     task_span.set_attribute("tool", task.tool.name)
                     if deadline is not None:
                         deadline.check(f"task {task.name!r}")
@@ -296,7 +302,6 @@ class WorkflowEngine:
                                     task=task.name).observe(duration)
             self.events.emit(TaskEvent("task", task.name, "finished",
                                        detail=f"{duration:.4f}s"))
-            ready: list[Task] = []
             with lock:
                 result.durations[task.name] = duration
                 for idx, value in enumerate(outs):
@@ -306,18 +311,42 @@ class WorkflowEngine:
                         outs[cable.source_index]
                     waiting = pending[cable.target]
                     waiting.discard(cable.target_index)
-                    if not waiting:
+                    # a fatal failure has settled the run: what is
+                    # queued still runs, nothing new is scheduled
+                    if not waiting and not errors:
                         waiting.add(-1)  # mark scheduled
                         ready.append(graph.task(cable.target))
-                finished = settled_count() == len(graph.tasks)
-            for nxt in ready:
-                # a fatal failure elsewhere has already settled the run:
-                # stop scheduling new work instead of racing the shutdown
-                if done.is_set():
-                    break
-                executor.submit(execute, nxt)
-            if finished:
-                done.set()
+                if ready:
+                    wake.notify()
+
+        def next_task() -> Task | None:
+            """Pop the queue's head for the calling thread and hand the
+            tasks behind it to pool threads while the pool has room; the
+            pool is made here, the first time two tasks are ready at
+            once.  Caller holds the lock."""
+            nonlocal pool, pooled
+            if not ready:
+                return None
+            task = ready.popleft()
+            while ready and pooled < self.max_workers - 1:
+                if pool is None:
+                    pool = ThreadPoolExecutor(self.max_workers - 1)
+                pooled += 1
+                drains.append(pool.submit(drain, ready.popleft()))
+            return task
+
+        def drain(task: Task | None) -> None:
+            """A pool thread's loop: run, then keep taking the head."""
+            nonlocal pooled
+            try:
+                while task is not None:
+                    entry.copy().run(execute, task)
+                    with lock:
+                        task = next_task()
+            finally:
+                with lock:
+                    pooled -= 1
+                    wake.notify()
 
         # kick off every task whose inputs are already satisfied
         initial = [graph.task(name) for name in order
@@ -330,10 +359,25 @@ class WorkflowEngine:
         if not graph.tasks:
             result.finished_at = time.time()
             return result
-        for task in initial:
-            executor.submit(execute, task)
-        done.wait()
-        executor.shutdown(wait=True)
+        # the enacting thread is a worker too: it runs the head of the
+        # queue, idles while only pool threads hold tasks, and returns
+        # once the queue is empty and no task is in flight
+        try:
+            with lock:
+                ready.extend(initial)
+                task = next_task()
+            while task is not None:
+                entry.copy().run(execute, task)
+                with lock:
+                    task = next_task()
+                    while task is None and pooled:
+                        wake.wait()
+                        task = next_task()
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True)
+        for drained in drains:
+            drained.result()  # an engine defect on a pool thread surfaces
         result.finished_at = time.time()
         metrics = get_metrics()
         metrics.counter("workflow.runs", graph=graph.name).inc()

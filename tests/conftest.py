@@ -32,6 +32,21 @@ def _reset_observability():
     reset()
 
 
+@pytest.fixture()
+def j48_fits(monkeypatch):
+    """A list that grows by one each time any J48 is fitted."""
+    from repro.ml.classifiers import J48
+
+    fits, real_fit = [], J48.fit
+
+    def counted(self, dataset):
+        fits.append(dataset.relation)
+        return real_fit(self, dataset)
+
+    monkeypatch.setattr(J48, "fit", counted)
+    return fits
+
+
 @pytest.fixture(scope="session")
 def breast_cancer():
     return synthetic.breast_cancer()

@@ -44,18 +44,15 @@ class TestSection45Lifecycles:
         assert stats.serialized_bytes > 1000
 
     def test_harness_keeps_model_cache_effective(self, tmp_path,
-                                                 dataset_arff):
-        """The J48Service caches the last model; under the harness
-        lifecycle repeated identical calls reuse it."""
+                                                 dataset_arff, j48_fits):
+        """The J48Service keeps its models; under the harness lifecycle
+        repeated identical calls reuse the one tree it fitted."""
         container = ServiceContainer(state_dir=tmp_path)
         container.deploy(J48Service, "J48", lifecycle="harness")
-        container.call("J48", "classify", dataset=dataset_arff,
-                       attribute="Class")
-        first = container.stats("J48").dispatch_seconds
-        container.call("J48", "classify", dataset=dataset_arff,
-                       attribute="Class")
-        second = container.stats("J48").dispatch_seconds - first
-        assert second < first  # cache hit is much cheaper
+        answers = {container.call("J48", "classify", dataset=dataset_arff,
+                                  attribute="Class") for _ in range(3)}
+        assert len(answers) == 1
+        assert len(j48_fits) == 1
 
 
 class TestStreamingVsMigration:

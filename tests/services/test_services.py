@@ -161,7 +161,7 @@ class TestJ48Service:
         assert dot.startswith("digraph")
 
     def test_model_memo_tells_colliding_documents_apart(self, breast_cancer):
-        """The one-model memo is keyed by document content: two documents
+        """The model memo is keyed by document content: two documents
         whose ``hash()`` collide must not share a tree."""
         from repro.services.j48_service import J48Service
 
@@ -175,9 +175,11 @@ class TestJ48Service:
         assert "(228.388/" in service.classify(cancer, "Class")
         assert service.classify(subset, "Class") \
             == J48Service().classify(subset, "Class")
-        first = service._last_model
+        first = service._fit(subset, "Class", None)
         service.classify(Colliding(subset), "Class")
-        assert service._last_model is first  # equal content still hits
+        # equal content still hits: the same tree, no new entry
+        assert service._fit(Colliding(subset), "Class", None) is first
+        assert len(service._models) == 2
 
 
 class TestClustererServices:

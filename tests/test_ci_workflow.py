@@ -313,6 +313,20 @@ def test_bench_smoke_runs_the_j48_kernel_gate(workflow):
     assert "BENCH_fig4_tree.json" in upload["with"]["path"]
 
 
+def test_bench_smoke_runs_the_sec45_lifecycle_gate(workflow):
+    """PERF-4.5, the paper's only performance result: the lifecycle
+    benchmark runs in CI (its in-test gate holds the serialize lifecycle
+    slower than the harness on repeated J48 calls) and its JSON is
+    uploaded."""
+    job = workflow["jobs"]["bench-smoke"]
+    text = steps_text(job)
+    assert "benchmarks/test_bench_sec45_harness.py" in text
+    assert "--benchmark-json=BENCH_sec45_harness.json" in text
+    upload = next(step for step in job["steps"]
+                  if "upload-artifact" in step.get("uses", ""))
+    assert "BENCH_sec45_harness.json" in upload["with"]["path"]
+
+
 def test_chaos_job_is_seeded_and_uploads_snapshot(workflow):
     job = workflow["jobs"]["chaos"]
     text = steps_text(job)

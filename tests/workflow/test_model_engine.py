@@ -1,6 +1,6 @@
 """Workflow model + enactor tests."""
 
-import time
+import threading
 
 import pytest
 
@@ -122,18 +122,19 @@ class TestEnactment:
         assert result.output(t) == "hello world"
 
     def test_parallel_execution(self):
-        """Independent tasks overlap on the thread pool."""
-        def slow(**kw):
-            time.sleep(0.15)
+        """Independent tasks overlap: the barrier trips only once all
+        four are in flight at the same moment; run serially, the first
+        task would wait out the timeout and the run would fail."""
+        together = threading.Barrier(4, timeout=30)
+
+        def meet(**kw):
+            together.wait()
             return 1
 
         g = TaskGraph()
-        tasks = [g.add(FunctionTool(f"S{i}", slow, [], ["out"]))
+        tasks = [g.add(FunctionTool(f"S{i}", meet, [], ["out"]))
                  for i in range(4)]
-        start = time.perf_counter()
         result = WorkflowEngine(max_workers=4).run(g)
-        elapsed = time.perf_counter() - start
-        assert elapsed < 0.45  # 4 x 0.15 sequential would be 0.6+
         assert all(result.output(t) == 1 for t in tasks)
 
     def test_failure_raises_enactment_error(self):
