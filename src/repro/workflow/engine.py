@@ -39,6 +39,18 @@ complete the picture:
   is perturbed through it (inside the retry loop), turning any workflow
   into a seeded chaos drill.
 
+Chain fusion: a linear run of imported service tools behind one front
+travels as one SOAP multicall (see :func:`repro.workflow.wsimport.call_chain`)
+when the run wraps no task attempt (no retry policy, no middleware).  A
+link A → B fuses when B is A's only consumer, A is B's only connected
+input, both are imported service tools whose
+:meth:`~repro.workflow.wsimport.WebServiceTool.chains_to` allows it,
+B's fed input is neither seeded nor also a task parameter, and the
+head's peer has advertised ``chain``.  The head's task sends the batch;
+every later node still gets its own ``task:`` span, events, output and
+duration, taking its result from the batch when its turn comes, so a
+failed item fails its node and skips (or stops at) the rest as before.
+
 Per-task concerns compose as :class:`TaskMiddleware` — the engine-level
 sibling of the SOAP stack's :mod:`repro.ws.pipeline` chains.  Each
 middleware wraps the task's attempt runner; the default stack is derived
@@ -58,11 +70,13 @@ from typing import Any
 
 from repro import chaos
 from repro.clock import SYSTEM_CLOCK, Clock
-from repro.errors import DeadlineExceeded, EnactmentError, WorkflowError
+from repro.errors import (DeadlineExceeded, EnactmentError, WorkflowError,
+                          WsdlError)
 from repro.obs import get_metrics, get_tracer
 from repro.ws.deadline import Deadline, deadline_scope
 from repro.workflow.model import Task, TaskGraph
 from repro.workflow.monitor import EventBus, TaskEvent
+from repro.workflow.wsimport import WebServiceTool, call_chain
 
 
 @dataclass
@@ -214,6 +228,9 @@ class WorkflowEngine:
             controller = chaos.active()
             middleware = [ChaosMiddleware(controller)] \
                 if controller is not None else []
+        fusing = self.retry_policy is None and not middleware
+        # results a fused chain's head fetched for the nodes after it
+        fetched: dict[str, Any] = {}
 
         def gather_inputs(task: Task) -> list[Any]:
             row: list[Any] = [None] * task.num_inputs
@@ -224,6 +241,51 @@ class WorkflowEngine:
                 elif key in values:
                     row[idx] = values[key]
             return row
+
+        def fused_chain(task: Task) -> list[tuple[Task, int]]:
+            """``(task, fed input)`` of each node that travels with
+            *task* in one multicall, *task* first."""
+            chain = [(task, 0)]
+            head = task.tool
+            if not (fusing and isinstance(head, WebServiceTool)
+                    and head.proxy.speaks("chain")):
+                return chain
+            while True:
+                leaving = graph.outgoing(chain[-1][0].name)
+                if len(leaving) != 1:
+                    return chain
+                cable = leaving[0]
+                nxt = graph.task(cable.target)
+                fed = cable.target_index
+                if len(graph.incoming(nxt.name)) != 1 \
+                        or (nxt.name, fed) in seeded \
+                        or not head.chains_to(nxt.tool) \
+                        or nxt.tool.inputs[fed] in nxt.effective_parameters():
+                    return chain
+                chain.append((nxt, fed))
+
+        def attempt(task: Task, ins: list[Any],
+                    params: dict[str, Any]) -> list[Any]:
+            """Run *task* with nothing wrapping the attempt: take what a
+            fused head fetched for it, or send its chain, or run it."""
+            if task.name in fetched:
+                return [fetched.pop(task.name).unwrap()]
+            chain = fused_chain(task)
+            if len(chain) == 1:
+                return task.tool.run(ins, params)
+            try:
+                outcomes = call_chain(
+                    [(task.tool, ins, params, 0)] +
+                    [(node.tool, gather_inputs(node),
+                      node.effective_parameters(), fed)
+                     for node, fed in chain[1:]])
+            except WsdlError:
+                # an item its WSDL refuses: every node meets its own
+                # error (or none) unfused
+                return task.tool.run(ins, params)
+            for (node, _), outcome in zip(chain[1:], outcomes[1:]):
+                fetched[node.name] = outcome
+            return [outcomes[0].unwrap()]
 
         def skip_downstream(name: str) -> list[str]:
             """Mark every task depending (transitively) on *name* as
@@ -293,7 +355,7 @@ class WorkflowEngine:
                     elif runner is not None:
                         outs = runner(ins, params)
                     else:
-                        outs = task.tool.run(ins, params)
+                        outs = attempt(task, ins, params)
             except Exception as exc:
                 fail_task(task, exc)
                 return

@@ -3,8 +3,8 @@ container with the §4.5 lifecycles, HTTP hosting, client proxies, the UDDI
 registry and transport models."""
 
 from repro.ws.soap import (DEADLINE_FAULTCODE, MULTICALL_OP,
-                           OVERLOAD_FAULTCODE, CallOutcome, SoapFault,
-                           SoapRequest, SoapResponse, SubCall,
+                           OVERLOAD_FAULTCODE, CallOutcome, ItemRef,
+                           SoapFault, SoapRequest, SoapResponse, SubCall,
                            decode_request, decode_response, encode_fault,
                            encode_request, encode_response,
                            multicall_request)
@@ -44,7 +44,8 @@ __all__ = [
     "SoapRequest", "SoapResponse", "SoapFault",
     "encode_request", "decode_request", "encode_response",
     "decode_response", "encode_fault",
-    "MULTICALL_OP", "SubCall", "CallOutcome", "multicall_request",
+    "MULTICALL_OP", "SubCall", "ItemRef", "CallOutcome",
+    "multicall_request",
     "ScatterGather", "ScatterReport", "ChunkDispatch",
     "default_chunk", "set_default_chunk",
     "operation", "ServiceDefinition", "OperationInfo",

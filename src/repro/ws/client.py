@@ -189,34 +189,62 @@ class ServiceProxy:
             self.interceptors, request, ctx, self.transport.send_async)
         return response.result
 
+    def shares_front(self, other: "ServiceProxy") -> bool:
+        """True when *other*'s calls reach the same server as this
+        proxy's (equal transport dial addresses), so one multicall
+        sent here can carry them."""
+        mine = self._dial_address()
+        return mine is not None and mine == other._dial_address()
+
+    def _dial_address(self):
+        probe = getattr(self.transport, "dial_address", None)
+        return probe() if probe is not None else None
+
     def call_many(self, calls, *,
                   raise_on_fault: bool = False) -> list[Any]:
         """Invoke many operations in one wire exchange (SOAP multicall).
 
         *calls* is an ordered iterable of ``(operation, params)`` pairs
         or :class:`~repro.ws.soap.SubCall` items against this service
-        (mixed operations allowed); each is validated against the WSDL
-        exactly like :meth:`call`.  The batch travels through the normal
-        proxy and transport interceptor chains as a single request, so
-        deadlines, breaker state, tracing, gzip and payload-refs apply
-        to it as a unit.
+        (mixed operations allowed), or ``(proxy, operation, params)``
+        triples naming an operation of another service behind the same
+        front (see :meth:`shares_front`); each is validated against its
+        own proxy's WSDL exactly like :meth:`call`.  A parameter may be
+        an :class:`~repro.ws.soap.ItemRef` to an earlier item, whose
+        result the server substitutes.  The batch travels through this
+        proxy's chain and transport as a single request, so deadlines,
+        breaker state, tracing, gzip and payload-refs apply to it as a
+        unit.
 
         Returns one :class:`~repro.ws.soap.CallOutcome` per sub-call, in
         input order — per-item faults are carried, not raised.  With
         ``raise_on_fault=True`` the outcomes are unwrapped into plain
         results and the first per-item fault raises instead.
         """
+        service = self.description.service
         subcalls: list[SubCall] = []
         for item in calls:
+            proxy = self
             if isinstance(item, SubCall):
+                if item.service not in ("", service):
+                    raise ServiceError(
+                        f"item for service {item.service!r}: name it by "
+                        f"its proxy, (proxy, operation, params)")
                 operation, params = item.operation, item.params
+            elif len(item) == 3:
+                proxy, operation, params = item
+                if proxy is not self and not self.shares_front(proxy):
+                    raise ServiceError(
+                        f"{proxy.description.service}.{operation} is not "
+                        f"served by {service}'s endpoint")
             else:
                 operation, params = item
-            self._validate(operation, dict(params))
-            subcalls.append(SubCall(operation, dict(params)))
+            proxy._validate(operation, dict(params))
+            subcalls.append(SubCall(operation, dict(params),
+                                    proxy.description.service
+                                    if proxy is not self else ""))
         if not subcalls:
             return []
-        service = self.description.service
         request = soap.multicall_request(service, subcalls,
                                          principal=self.principal,
                                          priority=self.priority)

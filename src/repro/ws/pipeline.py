@@ -627,12 +627,16 @@ class MulticallExpand(ServerHandler):
     """Expand a ``<repro:Multicall>`` batch into per-item dispatches.
 
     Each sub-call re-enters the rest of the chain (stats → cache →
-    lifecycle → faults → dispatch) as its own single-operation request,
-    so invocation counts, result-cache hits and ``op:`` spans stay
-    item-wise while parse/serialize and the wire exchange happened once
-    for the whole batch.  Per-item faults are captured as
+    lifecycle → faults → dispatch) as its own single-operation request
+    against its own service's deployment, so invocation counts,
+    result-cache hits and ``op:`` spans stay item-wise while
+    parse/serialize and the wire exchange happened once for the whole
+    batch.  An :class:`~repro.ws.soap.ItemRef` parameter becomes the
+    referenced item's result (a ``None`` result leaves the parameter
+    out, as a client omits it).  Per-item faults are captured as
     :class:`~repro.ws.soap.CallOutcome` items — one bad row cannot fail
-    its siblings — and a budget that expires mid-batch turns the
+    its siblings; an item whose referenced item failed is not
+    dispatched — and a budget that expires mid-batch turns the
     remaining items into deadline faults without touching dispatch.
     """
 
@@ -651,9 +655,10 @@ class MulticallExpand(ServerHandler):
         if ctx.span is not None:
             ctx.span.set_attribute("batch_size", len(calls))
         deadline = current_deadline()
+        batch_deployment = ctx.deployment
         outcomes: list[soap.CallOutcome] = []
         for index, sub in enumerate(calls):
-            item = SoapRequest(service=request.service,
+            item = SoapRequest(service=sub.service or request.service,
                                operation=sub.operation,
                                params=dict(sub.params),
                                trace_id=request.trace_id,
@@ -665,15 +670,42 @@ class MulticallExpand(ServerHandler):
                 outcomes.append(soap.CallOutcome(error=SoapFault(
                     DEADLINE_FAULTCODE,
                     f"time budget exhausted before multicall item "
-                    f"{index} ({request.service}.{sub.operation})")))
+                    f"{index} ({item.service}.{sub.operation})")))
                 continue
             try:
+                item.params = _substitute(item.params, outcomes, index)
+                ctx.deployment = batch_deployment \
+                    if item.service == request.service \
+                    else ctx.container._deployment(item.service)
                 outcomes.append(
                     soap.CallOutcome(result=(yield item).result))
             except SoapFault as fault:
                 outcomes.append(soap.CallOutcome(error=fault))
+        ctx.deployment = batch_deployment
         return SoapResponse(service=request.service,
                             operation=soap.MULTICALL_OP, result=outcomes)
+
+
+def _substitute(params: dict[str, Any], outcomes: list[soap.CallOutcome],
+                index: int) -> dict[str, Any]:
+    """*params* with each item reference replaced by the result of the
+    earlier item it names; raises the item's fault when that one failed."""
+    out = {}
+    for name, value in params.items():
+        if isinstance(value, soap.ItemRef):
+            source = outcomes[value.index]
+            if not source.ok:
+                raise SoapFault(
+                    soap.ITEM_REF_FAULTCODE,
+                    f"multicall item {index} not dispatched: item "
+                    f"{value.index}, which its parameter {name!r} "
+                    f"references, failed",
+                    detail=str(value.index))
+            value = source.result
+            if value is None:
+                continue
+        out[name] = value
+    return out
 
 
 class InvocationStats(ServerHandler):
@@ -833,6 +865,16 @@ class HttpResponse(NamedTuple):
     body: bytes
 
 
+#: Capabilities every front advertises in ``X-Repro-Codecs``: clients
+#: upgrade dataset arguments from ARFF text to binary columnar frames
+#: ("columnar") and move large binary values out of the envelope into
+#: attachment parts ("swa").
+CODECS = "columnar, swa"
+#: What a front whose dispatcher is a service container adds: "chain",
+#: multicall items for any of its services, fed by item references.
+CONTAINER_CODECS = CODECS + ", chain"
+
+
 def http_response(status: int, body: bytes, content_type: str = _XML,
                   **extra: str | None) -> HttpResponse:
     """An :class:`HttpResponse` carrying the standard header set.
@@ -841,11 +883,7 @@ def http_response(status: int, body: bytes, content_type: str = _XML,
     ``Content-Encoding``); ``None`` values are dropped.
     """
     headers = {"Content-Type": content_type,
-               # capability advertisement: clients upgrade dataset
-               # arguments from ARFF text to binary columnar frames
-               # ("columnar") and move large binary values out of the
-               # envelope into attachment parts ("swa")
-               "X-Repro-Codecs": "columnar, swa",
+               "X-Repro-Codecs": CODECS,
                # same-host advertisement: a client seeing its own boot
                # id may send shared-memory payload refs
                "X-Repro-Boot": shm.boot_id()}
@@ -894,8 +932,14 @@ class HttpGateway:
     """
 
     def __init__(self, container, compress: bool = True):
+        # imported here: the container module builds on this one
+        from repro.ws.container import ServiceContainer
         self.container = container
         self.compress = compress
+        # a mesh ingress does not advertise "chain": the worker a batch
+        # lands on need not host every service its items name
+        self.codecs = CONTAINER_CODECS \
+            if isinstance(container, ServiceContainer) else CODECS
         self.base_url = ""
         self.pages: dict[str, Callable[[], tuple[bytes, str]]] = {}
 
@@ -998,7 +1042,8 @@ class HttpGateway:
                 "gzip" in headers.get("accept-encoding", "").lower())
             status = 200
             return http_response(200, framed.body, framed.content_type,
-                                 content_encoding=framed.content_encoding)
+                                 content_encoding=framed.content_encoding,
+                                 x_repro_codecs=self.codecs)
         except PayloadMissError as exc:
             # the client referenced a blob this process does not hold:
             # answer with the dedicated fault so it resends inline
@@ -1021,4 +1066,5 @@ class HttpGateway:
                             status=status).inc()
             metrics.histogram("ws.http.seconds", service=name).observe(
                 time.perf_counter() - start)
-        return http_response(status, soap.encode_fault(fault))
+        return http_response(status, soap.encode_fault(fault),
+                             x_repro_codecs=self.codecs)

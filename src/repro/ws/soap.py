@@ -44,9 +44,18 @@ OVERLOAD_FAULTCODE = "repro:Overloaded"
 
 #: Reserved operation name for the batched-invocation envelope: one
 #: ``<repro:Multicall>`` body element carries an ordered list of
-#: sub-invocations against the same service (mixed operations allowed),
-#: so one parse/serialize and one wire exchange covers many calls.
+#: sub-invocations (mixed operations allowed; an item may name another
+#: service of the same container), so one parse/serialize and one wire
+#: exchange covers many calls.
 MULTICALL_OP = "Multicall"
+
+#: Most items one multicall may carry; a longer batch is refused at
+#: decode with a ``soapenv:Client`` fault, before anything is dispatched.
+MAX_BATCH_ITEMS = 1024
+
+#: Fault code of a multicall item that was not dispatched because an
+#: earlier item it references (see :class:`ItemRef`) failed.
+ITEM_REF_FAULTCODE = "repro:ItemRefFailed"
 
 ENVELOPE_NS = "http://schemas.xmlsoap.org/soap/envelope/"
 XSD_NS = "http://www.w3.org/2001/XMLSchema"
@@ -88,7 +97,10 @@ def _encode_value(parent: ET.Element, name: str, value: Any,
                   attachments: Attachments | None = None) -> None:
     el = ET.SubElement(parent, name)
     type_attr = _qname(XSI_NS, "type")
-    if isinstance(value, PayloadRef):
+    if isinstance(value, ItemRef):
+        el.set(type_attr, "repro:itemRef")
+        el.set("index", str(value.index))
+    elif isinstance(value, PayloadRef):
         # by-reference transfer (see repro.ws.payload): the receiving
         # side resolves the digest against its local payload store, or
         # maps the named shared-memory segment when via="shm"
@@ -177,6 +189,15 @@ def _decode_value(el: ET.Element,
         return base64.b64decode(text).decode("utf-8", "surrogatepass")
     if type_attr.endswith("json"):
         return json.loads(text) if text else None
+    if type_attr.endswith("itemRef"):
+        # where it may point is checked by the multicall decoder
+        index = el.get("index", "")
+        if not (index.isascii() and index.isdigit()
+                and len(index) <= len(str(MAX_BATCH_ITEMS))):
+            raise SoapFault("soapenv:Client",
+                            f"item reference index {index!r} is not an "
+                            f"item position")
+        return ItemRef(int(index))
     if type_attr.endswith("payloadRef"):
         # decode parses: whoever dispatches the call resolves the ref
         # (payload.resolve_refs), a relay forwards it unopened
@@ -240,10 +261,25 @@ class SoapResponse:
 
 @dataclass
 class SubCall:
-    """One item of a multicall batch: an operation plus its parameters."""
+    """One item of a multicall batch: an operation plus its parameters.
+
+    ``service`` names the item's own service when it differs from the
+    batch's ("" = the batch's); the envelope carries it only then.
+    """
 
     operation: str
     params: dict[str, Any] = field(default_factory=dict)
+    service: str = ""
+
+
+@dataclass(frozen=True)
+class ItemRef:
+    """A multicall parameter whose value is the whole result of an
+    earlier item of the same batch, substituted by the server, so a
+    result one item feeds the next never travels to the client and
+    back.  Encoded as ``<name xsi:type="repro:itemRef" index="0"/>``."""
+
+    index: int
 
 
 @dataclass
@@ -344,6 +380,8 @@ def encode_request(request: SoapRequest,
         for sub in calls_of(request):
             call = ET.SubElement(batch, _qname(REPRO_NS, "Call"))
             call.set("operation", _check_name(sub.operation, "operation"))
+            if sub.service and sub.service != request.service:
+                call.set("service", _check_name(sub.service, "service"))
             for name, value in sub.params.items():
                 _encode_value(call, _check_name(name, "parameter"), value,
                               attachments)
@@ -385,22 +423,45 @@ def _decode_request(envelope: ET.Element,
     local = op.tag.rsplit("}", 1)[-1]
     service = op.get("service", "")
     if local == MULTICALL_OP:
-        calls = []
-        for call_el in op:
-            if call_el.tag.rsplit("}", 1)[-1] != "Call":
-                raise ServiceError(
-                    "multicall body may only carry <repro:Call> items")
-            calls.append(SubCall(call_el.get("operation", ""),
-                                 _decode_params(call_el, parts)))
-        params = {"calls": calls}
+        params = {"calls": _decode_calls(op, service, parts)}
     else:
         params = _decode_params(op, parts)
+        if any(isinstance(value, ItemRef) for value in params.values()):
+            raise SoapFault("soapenv:Client",
+                            "an item reference outside a multicall")
     trace_id, parent_span_id = _decode_trace_header(envelope)
     principal, priority = _decode_caller_header(envelope)
     return SoapRequest(service=service, operation=local, params=params,
                        trace_id=trace_id, parent_span_id=parent_span_id,
                        deadline_s=_decode_deadline_header(envelope),
                        principal=principal, priority=priority)
+
+
+def _decode_calls(batch: ET.Element, service: str,
+                  parts: Attachments) -> list[SubCall]:
+    """The items of a ``<repro:Multicall>``: at most
+    :data:`MAX_BATCH_ITEMS`, each an ``<repro:Call>`` whose item
+    references point at earlier items only."""
+    if len(batch) > MAX_BATCH_ITEMS:
+        get_metrics().counter("ws.batch.refused", service=service).inc()
+        raise SoapFault("soapenv:Client",
+                        f"multicall carries {len(batch)} items; at most "
+                        f"{MAX_BATCH_ITEMS} are accepted")
+    calls = []
+    for index, call_el in enumerate(batch):
+        if call_el.tag.rsplit("}", 1)[-1] != "Call":
+            raise ServiceError(
+                "multicall body may only carry <repro:Call> items")
+        params = _decode_params(call_el, parts)
+        for name, value in params.items():
+            if isinstance(value, ItemRef) and value.index >= index:
+                raise SoapFault(
+                    "soapenv:Client",
+                    f"multicall item {index} parameter {name!r} references "
+                    f"item {value.index}: only an earlier item can feed it")
+        calls.append(SubCall(call_el.get("operation", ""), params,
+                             call_el.get("service", "")))
+    return calls
 
 
 def _decode_params(parent: ET.Element, parts: Attachments) -> dict:

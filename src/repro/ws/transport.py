@@ -113,6 +113,13 @@ class Transport:
         """
         return False
 
+    def dial_address(self):
+        """What this transport dials, when it names one server: two
+        transports with equal non-``None`` addresses reach the same
+        front, so their calls may share a multicall.  ``None`` (the
+        default) never matches."""
+        return None
+
     def close(self) -> None:
         """Release any underlying resources (default: none)."""
 
@@ -174,6 +181,10 @@ class InProcessTransport(ChainedTransport):
     def speaks(self, codec: str) -> bool:
         """Both ends are this process, so every local codec works."""
         return codec == "columnar"
+
+    def dial_address(self):
+        """The container itself: it is the one front this reaches."""
+        return self.container
 
     def _exchange(self, request: SoapRequest,
                   ctx: CallContext) -> SoapResponse:
@@ -243,6 +254,10 @@ class HttpTransport(ChainedTransport):
     def same_host(self) -> bool:
         """True once the server has advertised this host's boot id."""
         return bool(self.peer_boot) and self.peer_boot == shm.boot_id()
+
+    def dial_address(self):
+        """The ``(host, port)`` pair or socket path this dials."""
+        return self._address
 
     def default_interceptors(self):
         """The standard HTTP chain, with the gzip negotiation step."""

@@ -89,8 +89,8 @@ def test_ledger_suite_runs_in_ci(workflow):
 
 def test_lint_job_compiles_and_ruffs(workflow):
     text = steps_text(workflow["jobs"]["lint"])
-    assert "compileall" in text
-    assert "ruff check" in text
+    assert "compileall -q src tests benchmarks examples tools" in text
+    assert "ruff check src tests benchmarks examples tools" in text
     assert "python tools/layering_lint.py" in text
 
 
