@@ -295,6 +295,6 @@ def _run_cells(spec: ExperimentSpec, todo: list[Cell],
     # past what the caller asked for, or a mid-chunk death would lose
     # (and re-execute) cells that had already completed inside it
     sg = ScatterGather(len(proxies), chunk=cells_per_dispatch,
-                       min_chunk=1, max_chunk=cells_per_dispatch,
+                       max_chunk=cells_per_dispatch,
                        name="experiment")
     sg.run(todo, dispatch, on_chunk=on_chunk)

@@ -40,6 +40,7 @@ import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
+from repro import xmlsafe
 from repro.errors import ReproError
 
 
@@ -186,7 +187,7 @@ def load_json(text: str) -> ExperimentSpec:
 def load_xml(text: str) -> ExperimentSpec:
     """Parse an XML experiment spec (FlexDM-style)."""
     try:
-        root = ET.fromstring(text)
+        root = xmlsafe.fromstring(text)
     except ET.ParseError as exc:
         raise SpecError(f"invalid XML spec: {exc}")
     if root.tag != "experiment":

@@ -15,6 +15,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro import xmlsafe
 from repro.errors import DataError
 from repro.ws.service import operation
 
@@ -56,7 +57,7 @@ class WorkspaceService:
         # validate before sharing: the XML must at least parse
         import xml.etree.ElementTree as ET
         try:
-            root = ET.fromstring(document)
+            root = xmlsafe.fromstring(document)
         except ET.ParseError as exc:
             raise DataError(f"not a valid workflow document: {exc}")
         if root.tag != "taskgraph":

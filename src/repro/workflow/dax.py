@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
+from repro import xmlsafe
 from repro.workflow.model import TaskGraph
 
 DAX_NS = "http://www.griphyn.org/chimera/DAX"
@@ -63,5 +64,5 @@ def dumps(graph: TaskGraph, namespace: str = "repro") -> str:
 
 def job_count(document: str) -> int:
     """Number of jobs in a DAX document (sanity checks in tests)."""
-    root = ET.fromstring(document)
+    root = xmlsafe.fromstring(document)
     return len(root.findall(f"{{{DAX_NS}}}job"))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import xml.etree.ElementTree as ET
 
+from repro import xmlsafe
 from repro.errors import WorkflowError
 from repro.workflow.model import GroupTool, TaskGraph
 from repro.workflow.toolbox import ToolBox
@@ -89,7 +90,7 @@ def _parse_graph(root: ET.Element, toolbox: ToolBox) -> TaskGraph:
 def loads(document: str, toolbox: ToolBox) -> TaskGraph:
     """Parse workflow XML, binding tools by name from *toolbox*."""
     try:
-        root = ET.fromstring(document)
+        root = xmlsafe.fromstring(document)
     except ET.ParseError as exc:
         raise WorkflowError(f"malformed workflow XML: {exc}") from exc
     if root.tag != "taskgraph":

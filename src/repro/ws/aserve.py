@@ -38,7 +38,6 @@ obs, but never circuit breakers or chaos (``tools/layering_lint.py``).
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -114,6 +113,8 @@ class AsyncSoapHttpServer(HttpFront):
 
     async def serve_forever(self) -> None:
         """Accept until :meth:`stop` (or task cancellation)."""
+        if self.uds_path:
+            self._remove_uds_socket()
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._executor = ThreadPoolExecutor(
@@ -126,8 +127,6 @@ class AsyncSoapHttpServer(HttpFront):
             f"http://127.0.0.1:{self.port}"
         uds_server = None
         if self.uds_path:
-            if os.path.exists(self.uds_path):
-                os.unlink(self.uds_path)  # stale socket from a crash
             uds_server = await asyncio.start_unix_server(
                 self._serve_connection, path=self.uds_path)
         self._started.set()
@@ -145,8 +144,8 @@ class AsyncSoapHttpServer(HttpFront):
                 await asyncio.wait(list(self._open),
                                    timeout=http11.DRAIN_TIMEOUT_S)
             self._executor.shutdown(wait=False)
-            if self.uds_path and os.path.exists(self.uds_path):
-                os.unlink(self.uds_path)
+            if self.uds_path:
+                self._remove_uds_socket()
 
     def stop(self) -> None:
         """Shut down the loop thread and release resources."""

@@ -16,7 +16,7 @@ Classic three-state machine:
 * **open** — every call fails fast with
   :class:`~repro.errors.CircuitOpenError`.  After ``cooldown_s`` on the
   injected clock the breaker moves to half-open.
-* **half-open** — up to ``half_open_max`` probe calls are let through; a
+* **half-open** — up to ``HALF_OPEN_MAX`` probe calls are let through; a
   success closes the breaker, a failure re-opens it for another cooldown,
   and a probe that proved neither hands its slot back (``release``).
 
@@ -40,19 +40,20 @@ HALF_OPEN = "half-open"
 #: Gauge encoding of the states (0 = healthy, higher = worse).
 _STATE_VALUE = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
+#: Probe calls a half-open breaker lets through at once.
+HALF_OPEN_MAX = 1
+
 
 class CircuitBreaker:
     """Consecutive-failure breaker with cooldown and half-open probes."""
 
     def __init__(self, endpoint: str = "", failure_threshold: int = 5,
-                 cooldown_s: float = 30.0, half_open_max: int = 1,
-                 clock: Clock = SYSTEM_CLOCK):
+                 cooldown_s: float = 30.0, clock: Clock = SYSTEM_CLOCK):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         self.endpoint = endpoint
         self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
-        self.half_open_max = half_open_max
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
@@ -94,7 +95,7 @@ class CircuitBreaker:
             if self._state == CLOSED:
                 return True
             if self._state == HALF_OPEN and \
-                    self._probes_in_flight < self.half_open_max:
+                    self._probes_in_flight < HALF_OPEN_MAX:
                 self._probes_in_flight += 1
                 return True
             self.fast_failures += 1

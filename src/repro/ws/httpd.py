@@ -29,8 +29,10 @@ imports (``tools/layering_lint.py``).
 
 from __future__ import annotations
 
+import errno
 import os
 import socket
+import stat
 import threading
 import time
 
@@ -173,6 +175,26 @@ class HttpFront:
         """The WSDL URL of *service*."""
         return f"{self.endpoint(service)}?wsdl"
 
+    def _remove_uds_socket(self) -> None:
+        """Remove the dead socket at :attr:`uds_path`: a crashed server's
+        before the listener binds, this front's own once it stopped
+        listening.  Anything else found there — a file that is no
+        socket, or a socket a live server answers on — is refused and
+        left in place."""
+        try:
+            mode = os.lstat(self.uds_path).st_mode
+        except FileNotFoundError:
+            return
+        dead = False
+        if stat.S_ISSOCK(mode):
+            with socket.socket(socket.AF_UNIX) as probe:
+                probe.settimeout(1.0)
+                dead = probe.connect_ex(self.uds_path) == errno.ECONNREFUSED
+        if not dead:
+            raise ServiceError(f"uds_path {self.uds_path!r} is not a dead "
+                               f"socket; refusing to replace it")
+        os.unlink(self.uds_path)
+
     def __enter__(self):
         return self.start()
 
@@ -184,14 +206,18 @@ class SoapHttpServer(HttpFront):
     """A threaded SOAP-over-HTTP host bound to 127.0.0.1.
 
     With ``uds_path`` the same container is *also* served on a Unix
-    domain socket at that path (stale socket files are replaced); both
-    listeners share one :class:`~repro.ws.pipeline.HttpGateway`, so
-    policy and metrics are identical across transports.
+    domain socket at that path (a dead socket is replaced, anything
+    else refused); both listeners share one
+    :class:`~repro.ws.pipeline.HttpGateway`, so policy and metrics are
+    identical across transports.
     """
 
     def __init__(self, container: ServiceContainer, port: int = 0,
                  compress: bool = True, uds_path: str | None = None):
         self.container = container
+        self.uds_path = uds_path or None
+        if self.uds_path:
+            self._remove_uds_socket()  # before any socket is bound
         self.gateway = HttpGateway(container, compress=compress)
         tcp = ThreadedListener(self.gateway, ("127.0.0.1", port),
                                "soap-httpd")
@@ -199,10 +225,7 @@ class SoapHttpServer(HttpFront):
         self.base_url = self.gateway.base_url = \
             f"http://127.0.0.1:{self.port}"
         self._listeners = [tcp]
-        self.uds_path = uds_path or None
         if self.uds_path:
-            if os.path.exists(self.uds_path):
-                os.unlink(self.uds_path)
             self._listeners.append(ThreadedListener(
                 self.gateway, self.uds_path, "soap-httpd-uds"))
 
@@ -216,5 +239,5 @@ class SoapHttpServer(HttpFront):
         """Shut down and release resources."""
         for listener in self._listeners:
             listener.stop()
-        if self.uds_path and os.path.exists(self.uds_path):
-            os.unlink(self.uds_path)
+        if self.uds_path:
+            self._remove_uds_socket()

@@ -41,18 +41,16 @@ class MeshIngress:
     router and discovery buys the whole ingress policy surface
     (decompression, front-door deadline shedding, payload-miss /
     overload / deadline fault mapping, response compression,
-    ``ws.http.*`` metrics) unchanged.  The default *chain* — deadline →
-    trace → metrics — is what a direct client proxy runs minus its
-    breaker (the router keeps one per replica), so routed calls get
-    budget re-stamping, span parenting and per-call metrics for free.
+    ``ws.http.*`` metrics) unchanged.  The *chain* — deadline → trace →
+    metrics — is what a direct client proxy runs minus its breaker (the
+    router keeps one per replica), so routed calls get budget
+    re-stamping, span parenting and per-call metrics for free.
     """
 
-    def __init__(self, router: MeshRouter, discovery: RegistryEndpoints,
-                 chain: list | None = None):
+    def __init__(self, router: MeshRouter, discovery: RegistryEndpoints):
         self.router = router
         self.discovery = discovery
-        self.chain = chain if chain is not None \
-            else [ProxyDeadline(), CallTrace(), CallMetrics()]
+        self.chain = [ProxyDeadline(), CallTrace(), CallMetrics()]
 
     def invoke(self, request: SoapRequest) -> SoapResponse:
         """Route one decoded request through the gateway's client chain."""
@@ -91,11 +89,10 @@ class MeshGateway(HttpFront):
 
     def __init__(self, router: MeshRouter,
                  discovery: RegistryEndpoints, port: int = 0,
-                 compress: bool = True, chain: list | None = None,
                  status_fn=None):
         self.router = router
-        self.ingress = MeshIngress(router, discovery, chain=chain)
-        front = HttpGateway(self.ingress, compress=compress)
+        self.ingress = MeshIngress(router, discovery)
+        front = HttpGateway(self.ingress)
         front.pages["/mesh/status"] = lambda: (
             json.dumps(status_fn() if status_fn else {},
                        indent=2).encode(), "application/json")

@@ -126,13 +126,8 @@ class MeshHost:
 def start_mesh(workers: int = 4, services: list[str] | None = None,
                shards: str = "all", policy: str = "adaptive",
                port: int = 0, *, lease_ttl_s: float = 15.0,
-               heartbeat_s: float | None = None,
                max_concurrent: int = 8,
                slow_ms: dict[str, float] | None = None,
-               backoff_base_s: float = 0.5,
-               backoff_cap_s: float = 10.0,
-               spawn_timeout_s: float = 60.0,
-               compress: bool = True,
                registry: UDDIRegistry | None = None,
                transport: str = "tcp",
                clock: Clock = SYSTEM_CLOCK) -> MeshHost:
@@ -154,11 +149,8 @@ def start_mesh(workers: int = 4, services: list[str] | None = None,
              for wid in worker_ids]
     registry = registry if registry is not None \
         else UDDIRegistry(clock=clock)
-    supervisor = WorkerSupervisor(
-        specs, registry, lease_ttl_s=lease_ttl_s,
-        heartbeat_s=heartbeat_s, backoff_base_s=backoff_base_s,
-        backoff_cap_s=backoff_cap_s, spawn_timeout_s=spawn_timeout_s,
-        transport=transport, clock=clock)
+    supervisor = WorkerSupervisor(specs, registry, lease_ttl_s=lease_ttl_s,
+                                  transport=transport, clock=clock)
     supervisor.start()
     try:
         discovery = RegistryEndpoints(registry)
@@ -167,7 +159,6 @@ def start_mesh(workers: int = 4, services: list[str] | None = None,
         # the status closure reads `host`, which is assigned below —
         # the gateway only calls it once requests arrive, well after
         gateway = MeshGateway(router, discovery, port=port,
-                              compress=compress,
                               status_fn=lambda: host.status())
         gateway.start()
     except Exception:

@@ -37,11 +37,10 @@ ERROR_PENALTY_S = 30.0
 class EndpointProfile:
     """EWMA latency + error rate for one endpoint."""
 
-    __slots__ = ("alpha", "latency_s", "error_rate", "observations",
+    __slots__ = ("latency_s", "error_rate", "observations",
                  "last_observed")
 
-    def __init__(self, alpha: float = DEFAULT_ALPHA):
-        self.alpha = alpha
+    def __init__(self):
         self.latency_s: float | None = None
         self.error_rate = 0.0
         self.observations = 0
@@ -53,13 +52,13 @@ class EndpointProfile:
         if self.latency_s is None:
             self.latency_s = seconds
         else:
-            self.latency_s += self.alpha * (seconds - self.latency_s)
-        self.error_rate *= (1.0 - self.alpha)
+            self.latency_s += DEFAULT_ALPHA * (seconds - self.latency_s)
+        self.error_rate *= (1.0 - DEFAULT_ALPHA)
         self.observations += 1
 
     def observe_error(self) -> None:
         """Fold one failed send into the error rate."""
-        self.error_rate += self.alpha * (1.0 - self.error_rate)
+        self.error_rate += DEFAULT_ALPHA * (1.0 - self.error_rate)
         self.observations += 1
 
     def cost(self) -> float:
@@ -84,9 +83,7 @@ class ProfileBook:
     and a lost race costs one duplicate observation, not correctness.
     """
 
-    def __init__(self, alpha: float = DEFAULT_ALPHA,
-                 clock: Clock = SYSTEM_CLOCK):
-        self.alpha = alpha
+    def __init__(self, clock: Clock = SYSTEM_CLOCK):
         self._clock = clock
         self._profiles: dict[str, EndpointProfile] = {}
 
@@ -94,7 +91,7 @@ class ProfileBook:
         """The (created-on-demand) profile of *endpoint*."""
         found = self._profiles.get(endpoint)
         if found is None:
-            found = self._profiles[endpoint] = EndpointProfile(self.alpha)
+            found = self._profiles[endpoint] = EndpointProfile()
         return found
 
     def observe(self, endpoint: str, seconds: float) -> None:

@@ -16,7 +16,7 @@ Two properties are load-bearing (and pinned by hypothesis tests):
   ``PYTHONHASHSEED``.
 * **Minimal movement.**  When a member joins, the only keys that change
   owner move *to* the new member; when one leaves, only the keys it
-  owned move.  With ``vnodes`` virtual points per member the moved
+  owned move.  With ``DEFAULT_VNODES`` virtual points per member the moved
   fraction concentrates near 1/N.
 """
 
@@ -38,7 +38,7 @@ def stable_hash(key: str) -> int:
 
 
 class ConsistentHashRing:
-    """Members own arcs of a 2^64 ring via ``vnodes`` virtual points.
+    """Members own arcs of a 2^64 ring via ``DEFAULT_VNODES`` points each.
 
     Lookups walk clockwise from the key's position: :meth:`assign`
     returns the first member met, :meth:`replicas` the first *n*
@@ -46,11 +46,7 @@ class ConsistentHashRing:
     service on several workers.
     """
 
-    def __init__(self, members: Iterable[str] = (),
-                 vnodes: int = DEFAULT_VNODES):
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self, members: Iterable[str] = ()):
         self._members: set[str] = set()
         #: sorted (position, member) points; ties break on the member
         #: name so iteration order never depends on insertion order
@@ -67,7 +63,7 @@ class ConsistentHashRing:
         if member in self._members:
             return
         self._members.add(member)
-        for index in range(self.vnodes):
+        for index in range(DEFAULT_VNODES):
             point = (stable_hash(f"{member}#{index}"), member)
             bisect.insort(self._points, point)
 

@@ -51,6 +51,11 @@ from repro.ws.transport import (HttpTransport, parse_unix_url,
 #: traffic, so a healed or warmed-up replica is rediscovered.
 DEFAULT_REPROBE_AFTER_S = 10.0
 
+#: Each replica's breaker opens after this many consecutive failed
+#: sends and re-probes the replica after ``BREAKER_COOLDOWN_S``.
+BREAKER_FAILURE_THRESHOLD = 2
+BREAKER_COOLDOWN_S = 5.0
+
 
 class RoutingPolicy:
     """Ranks a service's live replicas, most preferred first."""
@@ -99,8 +104,7 @@ class HashPolicy(RoutingPolicy):
 
     name = "hash"
 
-    def __init__(self, vnodes: int | None = None):
-        self._vnodes = vnodes
+    def __init__(self) -> None:
         self._ring: ConsistentHashRing | None = None
         self._ring_members: frozenset[str] = frozenset()
         self._lock = threading.Lock()
@@ -110,9 +114,7 @@ class HashPolicy(RoutingPolicy):
         members = frozenset(by_name)
         with self._lock:
             if members != self._ring_members:
-                kwargs = {} if self._vnodes is None \
-                    else {"vnodes": self._vnodes}
-                self._ring = ConsistentHashRing(members, **kwargs)
+                self._ring = ConsistentHashRing(members)
                 self._ring_members = members
             ring = self._ring
         if ring is None or not members:
@@ -126,7 +128,7 @@ class AdaptivePolicy(RoutingPolicy):
     """Mined EWMA ranking: cheapest replica first, probe the unknown.
 
     Endpoints never observed (or not observed for
-    ``reprobe_after_s``) outrank everything — one real call refreshes
+    ``DEFAULT_REPROBE_AFTER_S``) outrank everything — one real call refreshes
     their profile, after which they compete on cost like the rest.
     That single-probe discipline is what keeps a chaos-delayed replica
     out of the p99: it gets one observation, then traffic routes
@@ -135,14 +137,10 @@ class AdaptivePolicy(RoutingPolicy):
 
     name = "adaptive"
 
-    def __init__(self,
-                 reprobe_after_s: float = DEFAULT_REPROBE_AFTER_S):
-        self.reprobe_after_s = reprobe_after_s
-
     def rank(self, service, endpoints, request, book):
         def preference(endpoint: MeshEndpoint):
             age = book.age_s(endpoint.url)
-            if age is None or age >= self.reprobe_after_s:
+            if age is None or age >= DEFAULT_REPROBE_AFTER_S:
                 return (0, 0.0, endpoint.name)
             return (1, book.profile(endpoint.url).cost(), endpoint.name)
         return sorted(endpoints, key=preference)
@@ -175,18 +173,10 @@ class MeshRouter:
     def __init__(self, discovery: RegistryEndpoints,
                  policy: RoutingPolicy | None = None, *,
                  book: ProfileBook | None = None,
-                 breaker_failure_threshold: int = 2,
-                 breaker_cooldown_s: float = 5.0,
-                 timeout_s: float = 30.0,
-                 compress: bool = True,
                  clock: Clock = SYSTEM_CLOCK):
         self.discovery = discovery
         self.policy = policy or AdaptivePolicy()
         self.book = book or ProfileBook(clock=clock)
-        self.breaker_failure_threshold = breaker_failure_threshold
-        self.breaker_cooldown_s = breaker_cooldown_s
-        self.timeout_s = timeout_s
-        self.compress = compress
         self._clock = clock
         self._transports: dict[str, HttpTransport] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
@@ -217,8 +207,7 @@ class MeshRouter:
         with self._lock:
             transport = self._transports.get(dial)
             if transport is None:
-                transport = transport_for(dial, timeout=self.timeout_s,
-                                          compress=self.compress)
+                transport = transport_for(dial)
                 self._transports[dial] = transport
             self._schemes[endpoint.url] = getattr(transport, "kind",
                                                   "http")
@@ -235,8 +224,8 @@ class MeshRouter:
             if breaker is None:
                 breaker = CircuitBreaker(
                     endpoint=url,
-                    failure_threshold=self.breaker_failure_threshold,
-                    cooldown_s=self.breaker_cooldown_s,
+                    failure_threshold=BREAKER_FAILURE_THRESHOLD,
+                    cooldown_s=BREAKER_COOLDOWN_S,
                     clock=self._clock)
                 self._breakers[url] = breaker
             return breaker

@@ -11,10 +11,12 @@ contract with the worker is deliberately tiny:
 * **Watchdog.**  A background thread polls child liveness.  A crashed
   worker's entries are withdrawn immediately (callers stop routing to
   it without waiting for lease expiry) and the worker is relaunched
-  after an exponential backoff (``backoff_base_s · 2^(n-1)``, capped),
-  so a crash-looping shard cannot fork-bomb the host.
-* **Heartbeat.**  Leases are renewed every ``heartbeat_s`` while the
-  child lives.  If the *supervisor* dies, nobody renews and the fleet
+  after an exponential backoff (``BACKOFF_BASE_S · 2^(n-1)``, capped at
+  ``BACKOFF_CAP_S``), so a crash-looping shard cannot fork-bomb the
+  host.
+* **Heartbeat.**  Leases are renewed ``HEARTBEATS_PER_LEASE`` times
+  per lease TTL (at most every ``HEARTBEAT_FLOOR_S``) while the child
+  lives.  If the *supervisor* dies, nobody renews and the fleet
   ages out of the registry on its own — the lease is the liveness
   ground truth.
 * **Drain.**  :meth:`stop` sends ``SIGTERM`` (the worker finishes
@@ -45,6 +47,22 @@ from repro.ws.transport import unix_url
 
 #: Seconds a SIGTERMed worker gets to drain before SIGKILL.
 DRAIN_GRACE_S = 5.0
+#: Lease renewals per lease TTL, and the shortest renewal period.
+HEARTBEATS_PER_LEASE = 3.0
+HEARTBEAT_FLOOR_S = 0.5
+#: A crashed worker's relaunch delay: ``BACKOFF_BASE_S · 2^(n-1)`` after
+#: its n-th crash, never more than ``BACKOFF_CAP_S``.
+BACKOFF_BASE_S = 0.5
+BACKOFF_CAP_S = 10.0
+#: Seconds a freshly forked worker has to write its announce file.
+SPAWN_TIMEOUT_S = 60.0
+#: Seconds between two watchdog passes over the fleet.
+POLL_INTERVAL_S = 0.2
+
+
+def _backoff(restarts: int) -> float:
+    """Seconds before the relaunch that follows crash number *restarts*."""
+    return min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** (restarts - 1)))
 
 
 @dataclass(frozen=True)
@@ -97,12 +115,6 @@ class WorkerSupervisor:
 
     def __init__(self, specs: list[WorkerSpec], registry: UDDIRegistry,
                  *, lease_ttl_s: float = 15.0,
-                 heartbeat_s: float | None = None,
-                 backoff_base_s: float = 0.5,
-                 backoff_cap_s: float = 10.0,
-                 spawn_timeout_s: float = 60.0,
-                 poll_interval_s: float = 0.2,
-                 python: str = sys.executable,
                  transport: str = "tcp",
                  clock: Clock = SYSTEM_CLOCK):
         if not specs:
@@ -115,13 +127,8 @@ class WorkerSupervisor:
             raise ValueError(f"duplicate worker ids in {ids}")
         self.registry = registry
         self.lease_ttl_s = lease_ttl_s
-        self.heartbeat_s = heartbeat_s if heartbeat_s is not None \
-            else max(0.5, lease_ttl_s / 3.0)
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.spawn_timeout_s = spawn_timeout_s
-        self.poll_interval_s = poll_interval_s
-        self.python = python
+        self.heartbeat_s = max(HEARTBEAT_FLOOR_S,
+                               lease_ttl_s / HEARTBEATS_PER_LEASE)
         self.transport = transport
         self._clock = clock
         self.handles = [WorkerHandle(spec=spec) for spec in specs]
@@ -210,7 +217,7 @@ class WorkerSupervisor:
             os.remove(announce)
         handle.stderr_path = os.path.join(self._dir,
                                           f"{spec.worker_id}.err")
-        cmd = [self.python, "-m", "repro.ws.mesh.worker",
+        cmd = [sys.executable, "-m", "repro.ws.mesh.worker",
                "--announce", announce,
                "--services",
                "all" if spec.services is None else
@@ -237,7 +244,7 @@ class WorkerSupervisor:
 
     def _await_announce(self, handle: WorkerHandle,
                         announce: str) -> dict:
-        deadline = self._clock.monotonic() + self.spawn_timeout_s
+        deadline = self._clock.monotonic() + SPAWN_TIMEOUT_S
         process = handle.process
         while self._clock.monotonic() < deadline:
             if os.path.exists(announce):
@@ -257,7 +264,7 @@ class WorkerSupervisor:
         process.kill()
         raise RuntimeError(
             f"mesh worker {handle.spec.worker_id!r} did not announce "
-            f"within {self.spawn_timeout_s}s")
+            f"within {SPAWN_TIMEOUT_S}s")
 
     def _stderr_tail(self, handle: WorkerHandle, limit: int = 800) -> str:
         try:
@@ -305,7 +312,7 @@ class WorkerSupervisor:
 
     def _watch(self) -> None:
         last_heartbeat = self._clock.monotonic()
-        while not self._stopping.wait(self.poll_interval_s):
+        while not self._stopping.wait(POLL_INTERVAL_S):
             now = self._clock.monotonic()
             for handle in self.handles:
                 self._tend(handle, now)
@@ -323,10 +330,7 @@ class WorkerSupervisor:
                                   worker=handle.spec.worker_id).inc()
             self._unpublish(handle)
             handle.restarts += 1
-            delay = min(self.backoff_cap_s,
-                        self.backoff_base_s *
-                        (2 ** (handle.restarts - 1)))
-            handle.restart_at = now + delay
+            handle.restart_at = now + _backoff(handle.restarts)
             return
         if now < handle.restart_at:
             return
@@ -336,10 +340,8 @@ class WorkerSupervisor:
         except RuntimeError:
             # the relaunch itself failed: back off harder and retry
             handle.restarts += 1
-            delay = min(self.backoff_cap_s,
-                        self.backoff_base_s *
-                        (2 ** (handle.restarts - 1)))
-            handle.restart_at = self._clock.monotonic() + delay
+            handle.restart_at = self._clock.monotonic() \
+                + _backoff(handle.restarts)
 
     def _heartbeat(self) -> None:
         for handle in self.handles:

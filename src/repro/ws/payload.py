@@ -176,9 +176,8 @@ def well_formed(digest: str) -> str:
 class PayloadStore:
     """Thread-safe content-addressed blob store with LRU bounds."""
 
-    def __init__(self, max_entries: int = STORE_MAX_ENTRIES,
-                 max_bytes: int = STORE_MAX_BYTES):
-        self._cache = LruCache(max_entries, max_bytes)
+    def __init__(self):
+        self._cache = LruCache(STORE_MAX_ENTRIES, STORE_MAX_BYTES)
 
     def put(self, data: bytes | memoryview) -> str:
         """Store *data*; returns its digest (idempotent).

@@ -22,7 +22,7 @@ A failed dispatch is read by :func:`repro.ws.failover.verdict_of`.  A
 shed is *backpressure*, not death: the chunk is re-queued, the
 endpoint's next bite halved, and the worker backs off for the server's
 ``Retry-After`` hint — a slowdown instead of a migration, until
-``max_overloads`` *consecutive* sheds demote the endpoint to dead.
+``MAX_OVERLOADS`` *consecutive* sheds demote the endpoint to dead.
 
 Metrics: ``ws.scatter.rebalance`` counts chunk migrations off dead
 endpoints; ``ws.scatter.backpressure`` counts overload backoffs.
@@ -47,6 +47,17 @@ from repro.ws.deadline import current_deadline
 DEFAULT_CHUNK = 64
 
 _default_chunk = DEFAULT_CHUNK
+
+#: Adaptive chunk sizing: an EWMA (smoothing ``EWMA_ALPHA``) of each
+#: endpoint's per-item seconds aims a dispatch at ``TARGET_CHUNK_S`` of
+#: work, never below ``MIN_CHUNK`` items.
+MIN_CHUNK = 1
+TARGET_CHUNK_S = 0.25
+EWMA_ALPHA = 0.3
+
+#: Consecutive sheds tolerated per endpoint before it is treated like a
+#: failed replica (its chunk migrates).
+MAX_OVERLOADS = 8
 
 
 def set_default_chunk(size: int) -> None:
@@ -114,8 +125,7 @@ class ScatterReport:
 class _EndpointState:
     """Adaptive chunk sizing for one endpoint (EWMA of per-item time)."""
 
-    def __init__(self, alpha: float):
-        self.alpha = alpha
+    def __init__(self):
         self.ewma_s: float | None = None
         self.consecutive_overloads = 0
 
@@ -123,8 +133,8 @@ class _EndpointState:
         if self.ewma_s is None:
             self.ewma_s = per_item_s
         else:
-            self.ewma_s = (self.alpha * per_item_s
-                           + (1.0 - self.alpha) * self.ewma_s)
+            self.ewma_s = (EWMA_ALPHA * per_item_s
+                           + (1.0 - EWMA_ALPHA) * self.ewma_s)
 
 
 class ScatterGather:
@@ -137,30 +147,23 @@ class ScatterGather:
     and its chunk is re-queued for the survivors, who stay until nothing
     is pending or in flight.  Chunk sizes start at *chunk* and adapt per
     endpoint: an EWMA of observed per-item seconds aims each dispatch
-    at *target_chunk_s* of work, clamped to ``[min_chunk, max_chunk]``.
+    at ``TARGET_CHUNK_S`` of work, clamped to ``[MIN_CHUNK, max_chunk]``.
     An ambient deadline (captured at ``run`` time — worker threads do
     not inherit contextvars) stops dispatching and fails the run fast.
     """
 
     def __init__(self, n_endpoints: int, *, chunk: int | None = None,
-                 min_chunk: int = 1, max_chunk: int = 256,
-                 target_chunk_s: float = 0.25, alpha: float = 0.3,
-                 max_overloads: int = 8, clock: Clock = SYSTEM_CLOCK,
+                 max_chunk: int = 256, clock: Clock = SYSTEM_CLOCK,
                  name: str = "scatter"):
         if n_endpoints < 1:
             raise WorkflowError("scatter-gather needs ≥ 1 endpoint")
         self.n_endpoints = n_endpoints
         self.chunk = chunk if chunk is not None else default_chunk()
-        self.min_chunk = max(1, min_chunk)
-        self.max_chunk = max(self.min_chunk, max_chunk)
-        self.target_chunk_s = target_chunk_s
-        #: Consecutive sheds tolerated per endpoint before it is
-        #: treated like a failed replica (its chunk migrates).
-        self.max_overloads = max_overloads
+        self.max_chunk = max(MIN_CHUNK, max_chunk)
         #: Injectable so backoff behaviour is testable without sleeping.
         self.clock = clock
         self.name = name
-        self._states = [_EndpointState(alpha) for _ in range(n_endpoints)]
+        self._states = [_EndpointState() for _ in range(n_endpoints)]
 
     def _note_overload(self, endpoint: int) -> int:
         """Record one shed (caller holds the run lock); halve the bite.
@@ -174,8 +177,8 @@ class ScatterGather:
         if state.ewma_s is None:
             # no latency signal yet: seed the EWMA so the next bite is
             # half the configured chunk
-            half = max(self.min_chunk, self.chunk // 2)
-            state.ewma_s = self.target_chunk_s / half
+            half = max(MIN_CHUNK, self.chunk // 2)
+            state.ewma_s = TARGET_CHUNK_S / half
         else:
             state.ewma_s *= 2.0
         return state.consecutive_overloads
@@ -188,8 +191,8 @@ class ScatterGather:
         elif state.ewma_s <= 0:
             size = self.max_chunk
         else:
-            size = int(round(self.target_chunk_s / state.ewma_s))
-        return max(self.min_chunk, min(self.max_chunk, size))
+            size = int(round(TARGET_CHUNK_S / state.ewma_s))
+        return max(MIN_CHUNK, min(self.max_chunk, size))
 
     def run(self, items: Sequence, dispatch: Callable,
             on_chunk: Callable | None = None) -> ScatterReport:
@@ -252,7 +255,7 @@ class ScatterGather:
             verdict = failover.verdict_of(error)
             if verdict == failover.SHED:
                 get_metrics().counter("ws.scatter.backpressure").inc()
-                if self._note_overload(endpoint) <= self.max_overloads:
+                if self._note_overload(endpoint) <= MAX_OVERLOADS:
                     pause = error.retry_after_s or DEFAULT_RETRY_HINT_S
                     if deadline is None or deadline.remaining() > pause:
                         return pause

@@ -165,17 +165,18 @@ class SegmentStore:
     """Publish/attach named shared-memory segments, content-addressed.
 
     One instance per process (see :func:`get_segment_store`).  Both
-    sets are LRU-bounded by the same count and byte limits: an *owned*
+    sets are LRU-bounded by the same count and byte limits
+    (``OWNED_MAX_SEGMENTS``/``OWNED_MAX_BYTES``, read when the store is
+    built): an *owned*
     segment — created here — is unlinked on eviction; an *attached* one
     — created elsewhere — is disarmed (:func:`_quiet_close`), so views
     already handed to live requests stay valid, and re-verified if it
     is attached again.
     """
 
-    def __init__(self, max_segments: int = OWNED_MAX_SEGMENTS,
-                 max_bytes: int = OWNED_MAX_BYTES):
-        self.max_segments = max_segments
-        self.max_bytes = max_bytes
+    def __init__(self):
+        self.max_segments = OWNED_MAX_SEGMENTS
+        self.max_bytes = OWNED_MAX_BYTES
         self._lock = threading.RLock()
         # digest → SharedMemory created by this process (insertion =
         # LRU order; move_to_end on re-publish)

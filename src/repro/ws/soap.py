@@ -27,6 +27,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
+from repro import xmlsafe
 from repro.errors import DeadlineExceeded, OverloadedError, ServiceError
 from repro.obs import get_metrics
 from repro.ws import payload
@@ -687,7 +688,7 @@ def _body_of(document: bytes) -> ET.Element:
 
 def _envelope_of(document: bytes) -> ET.Element:
     try:
-        envelope = ET.fromstring(document)
+        envelope = xmlsafe.fromstring(document)
     except ET.ParseError as exc:
         raise ServiceError(f"malformed SOAP document: {exc}") from exc
     if envelope.tag != _qname(ENVELOPE_NS, "Envelope"):

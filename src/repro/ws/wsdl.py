@@ -16,6 +16,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
+from repro import xmlsafe
 from repro.errors import WsdlError
 from repro.ws.service import OperationInfo, ServiceDefinition
 
@@ -109,7 +110,7 @@ def generate(definition: ServiceDefinition, address: str) -> str:
 def parse(document: str) -> WsdlDescription:
     """Parse a WSDL document into a :class:`WsdlDescription`."""
     try:
-        root = ET.fromstring(document)
+        root = xmlsafe.fromstring(document)
     except ET.ParseError as exc:
         raise WsdlError(f"malformed WSDL: {exc}") from exc
     if root.tag != _q(WSDL_NS, "definitions"):

@@ -51,8 +51,7 @@ class TestStateMachine:
         assert breaker.state == HALF_OPEN
 
     def test_half_open_admits_limited_probes(self):
-        breaker, clock = make_breaker(failure_threshold=1,
-                                      half_open_max=1)
+        breaker, clock = make_breaker(failure_threshold=1)
         breaker.record_failure()
         clock.advance(11)
         assert breaker.allow()       # the probe

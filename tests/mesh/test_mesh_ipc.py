@@ -20,7 +20,7 @@ import pytest
 from repro.data import codec, synthetic
 from repro.ws import shm
 from repro.ws.client import ServiceProxy, fetch_url
-from repro.ws.mesh import start_mesh
+from repro.ws.mesh import start_mesh, supervisor
 
 pytestmark = pytest.mark.skipif(not shm.supported(),
                                 reason="no POSIX shared memory here")
@@ -30,14 +30,18 @@ FRAME = codec.encode(synthetic.numeric_two_class(n=400, seed=11))
 
 @pytest.fixture(scope="module")
 def mesh():
-    host = start_mesh(workers=2, services=["Classifier"],
-                      transport="uds", policy="adaptive",
-                      lease_ttl_s=5.0, heartbeat_s=1.0,
-                      backoff_base_s=0.2, backoff_cap_s=2.0)
-    try:
-        yield host
-    finally:
-        host.stop()
+    with pytest.MonkeyPatch.context() as fast:
+        # a 1 s heartbeat and a 0.2 s → 2 s restart backoff
+        fast.setattr(supervisor, "HEARTBEATS_PER_LEASE", 5.0)
+        fast.setattr(supervisor, "BACKOFF_BASE_S", 0.2)
+        fast.setattr(supervisor, "BACKOFF_CAP_S", 2.0)
+        host = start_mesh(workers=2, services=["Classifier"],
+                          transport="uds", policy="adaptive",
+                          lease_ttl_s=5.0)
+        try:
+            yield host
+        finally:
+            host.stop()
 
 
 def classify(proxy):

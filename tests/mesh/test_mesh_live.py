@@ -17,19 +17,23 @@ import time
 import pytest
 
 from repro.ws.client import ServiceProxy, fetch_url
-from repro.ws.mesh import plan_shards, start_mesh
+from repro.ws.mesh import plan_shards, start_mesh, supervisor
 from repro.ws.scatter import resolve_endpoints
 
 
 @pytest.fixture(scope="module")
 def mesh():
-    host = start_mesh(workers=4, services=["Math"], policy="adaptive",
-                      lease_ttl_s=5.0, heartbeat_s=1.0,
-                      backoff_base_s=0.2, backoff_cap_s=2.0)
-    try:
-        yield host
-    finally:
-        host.stop()
+    with pytest.MonkeyPatch.context() as fast:
+        # a 1 s heartbeat and a 0.2 s → 2 s restart backoff
+        fast.setattr(supervisor, "HEARTBEATS_PER_LEASE", 5.0)
+        fast.setattr(supervisor, "BACKOFF_BASE_S", 0.2)
+        fast.setattr(supervisor, "BACKOFF_CAP_S", 2.0)
+        host = start_mesh(workers=4, services=["Math"], policy="adaptive",
+                          lease_ttl_s=5.0)
+        try:
+            yield host
+        finally:
+            host.stop()
 
 
 class TestPlanning:

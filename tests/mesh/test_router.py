@@ -7,6 +7,7 @@ from repro.errors import (DeadlineExceeded, OverloadedError,
                           TransportError)
 from repro.ws.mesh.endpoints import MeshEndpoint
 from repro.ws.mesh.profile import ERROR_PENALTY_S, ProfileBook
+from repro.ws.mesh import router as routing
 from repro.ws.mesh.gateway import MeshIngress
 from repro.ws.mesh.router import (AdaptivePolicy, HashPolicy, MeshRouter,
                                   RoundRobinPolicy, make_policy)
@@ -98,10 +99,12 @@ class TestPolicies:
         assert [e.name for e in ranked] == [e.name for e in again]
         assert sorted(e.name for e in ranked) == ["a", "b", "c"]
 
-    def test_adaptive_prefers_cheap_probes_unknown_first(self):
+    def test_adaptive_prefers_cheap_probes_unknown_first(self,
+                                                         monkeypatch):
+        monkeypatch.setattr(routing, "DEFAULT_REPROBE_AFTER_S", 100.0)
         clock = FakeClock()
         book = ProfileBook(clock=clock)
-        policy = AdaptivePolicy(reprobe_after_s=100.0)
+        policy = AdaptivePolicy()
         fast, slow, cold = (endpoint("fast"), endpoint("slow"),
                             endpoint("cold"))
         book.observe(fast.url, 0.01)
@@ -112,7 +115,7 @@ class TestPolicies:
     def test_adaptive_reprobes_stale_profiles(self):
         clock = FakeClock()
         book = ProfileBook(clock=clock)
-        policy = AdaptivePolicy(reprobe_after_s=10.0)
+        policy = AdaptivePolicy()
         a, b = endpoint("a"), endpoint("b")
         book.observe(a.url, 2.0)   # expensive but about to go stale
         book.observe(b.url, 0.01)
@@ -143,7 +146,7 @@ class TestRouterWalk:
         router, discovery, transports = make_router(
             {"a": [TransportError("x"), TransportError("x"), "never"],
              "b": ["B1", "B2", "B3"]},
-            policy=FixedPolicy(), breaker_failure_threshold=2)
+            policy=FixedPolicy())
         router.send(REQ)  # a fails, opens strike 1, b answers
         router.send(REQ)  # a fails again -> breaker opens
         sends_before = transports["a"].sends
@@ -151,12 +154,11 @@ class TestRouterWalk:
         assert transports["a"].sends == sends_before  # substituted
         assert discovery.health["a"] == HEALTH_DOWN
 
-    def test_breaker_recovery_notes_health_up(self):
+    def test_breaker_recovery_notes_health_up(self, monkeypatch):
+        monkeypatch.setattr(routing, "BREAKER_FAILURE_THRESHOLD", 1)
         clock = FakeClock()
         router, discovery, _ = make_router(
-            {"a": [TransportError("x"), "recovered"]},
-            breaker_failure_threshold=1, breaker_cooldown_s=5.0,
-            clock=clock)
+            {"a": [TransportError("x"), "recovered"]}, clock=clock)
         with pytest.raises(TransportError):
             router.send(REQ)
         assert discovery.health["a"] == HEALTH_DOWN
@@ -172,23 +174,25 @@ class TestRouterWalk:
             router.send(REQ)
         assert transports["b"].sends == 0
 
-    def test_overload_tries_next_without_breaker_penalty(self):
+    def test_overload_tries_next_without_breaker_penalty(self,
+                                                         monkeypatch):
+        monkeypatch.setattr(routing, "BREAKER_FAILURE_THRESHOLD", 1)
         router, _, transports = make_router(
             {"a": [OverloadedError("shed"), "A2"], "b": ["B"]},
-            policy=FixedPolicy(), breaker_failure_threshold=1)
+            policy=FixedPolicy())
         assert router.send(REQ).result == "B"
         # no penalty: a is still routable on the next rotation
         assert router.send(REQ).result == "A2"
 
-    def test_shed_probe_does_not_wedge_the_breaker(self):
+    def test_shed_probe_does_not_wedge_the_breaker(self, monkeypatch):
         """A half-open probe that is shed proved the replica alive: it
         must be dialled again and fed back to the registry as ``up``."""
+        monkeypatch.setattr(routing, "BREAKER_FAILURE_THRESHOLD", 1)
         clock = FakeClock()
         router, discovery, transports = make_router(
             {"w0": [TransportError("down"), OverloadedError("busy")],
              "w1": []},
-            policy=FixedPolicy(), breaker_failure_threshold=1,
-            breaker_cooldown_s=5.0, clock=clock)
+            policy=FixedPolicy(), clock=clock)
         router.send(REQ)            # w0 dies: breaker opens, w1 answers
         assert discovery.health["w0"] == HEALTH_DOWN
         clock.advance(6.0)
@@ -199,12 +203,12 @@ class TestRouterWalk:
         assert transports["w0"].sends == dialled + 1
         assert transports["w1"].sends == 2
 
-    def test_spent_probe_does_not_wedge_the_breaker(self):
+    def test_spent_probe_does_not_wedge_the_breaker(self, monkeypatch):
+        monkeypatch.setattr(routing, "BREAKER_FAILURE_THRESHOLD", 1)
         clock = FakeClock()
         router, _, transports = make_router(
             {"w0": [TransportError("down"), DeadlineExceeded("spent"),
                     "back"]},
-            breaker_failure_threshold=1, breaker_cooldown_s=5.0,
             clock=clock)
         with pytest.raises(TransportError):
             router.send(REQ)

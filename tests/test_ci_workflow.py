@@ -92,22 +92,36 @@ def test_lint_job_compiles_and_ruffs(workflow):
     assert "compileall -q src tests benchmarks examples tools" in text
     assert "ruff check src tests benchmarks examples tools" in text
     assert "python tools/layering_lint.py" in text
+    assert "python tools/knob_census.py --check" in text
+
+
+def _load_tool(name: str):
+    import importlib.util
+
+    script = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def _load_layering_lint():
-    import importlib.util
-
-    script = Path(__file__).resolve().parents[1] / "tools" \
-        / "layering_lint.py"
-    spec = importlib.util.spec_from_file_location("layering_lint", script)
-    lint = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(lint)
-    return lint
+    return _load_tool("layering_lint")
 
 
 def test_layering_lint_passes():
     """The CI layering gate must hold on the tree as checked in."""
     assert _load_layering_lint().main() == 0
+
+
+def test_knob_census_holds_the_ceiling():
+    """``repro.ws`` carries exactly as many defaulted constructor
+    parameters as the committed ceiling: a new knob fails here, and a
+    removed one must lower the ceiling with it."""
+    census = _load_tool("knob_census")
+    assert census.CEILING == 61
+    assert len(census.knobs()) == census.CEILING
+    assert census.main(["--check"]) == 0
 
 
 def test_layering_rules_cover_the_admission_plane():

@@ -78,8 +78,10 @@ class TestDigestAndStore:
         assert len(store) == 1
         assert store.get(d1) == b"hello world"
 
-    def test_put_keeps_what_it_holds_and_copies_a_view_once(self):
-        store = PayloadStore(max_entries=2)
+    def test_put_keeps_what_it_holds_and_copies_a_view_once(
+            self, monkeypatch):
+        monkeypatch.setattr(payload, "STORE_MAX_ENTRIES", 2)
+        store = PayloadStore()
         body = b"head" + bytes(range(256)) * 8
         view = memoryview(body)[4:]
         digest = store.put(view)
@@ -91,16 +93,19 @@ class TestDigestAndStore:
         store.put(b"third")                 # ... so "other" is the LRU
         assert digest in store and len(store) == 2
 
-    def test_entry_bound_evicts_lru(self):
-        store = PayloadStore(max_entries=3)
+    def test_entry_bound_evicts_lru(self, monkeypatch):
+        monkeypatch.setattr(payload, "STORE_MAX_ENTRIES", 3)
+        store = PayloadStore()
         digests = [store.put(f"blob-{i}".encode()) for i in range(5)]
         assert len(store) == 3
         assert digests[0] not in store
         assert digests[1] not in store
         assert digests[4] in store
 
-    def test_byte_bound_evicts_lru(self):
-        store = PayloadStore(max_entries=100, max_bytes=250)
+    def test_byte_bound_evicts_lru(self, monkeypatch):
+        monkeypatch.setattr(payload, "STORE_MAX_ENTRIES", 100)
+        monkeypatch.setattr(payload, "STORE_MAX_BYTES", 250)
+        store = PayloadStore()
         digests = [store.put(bytes([i]) * 100) for i in range(4)]
         assert store.total_bytes <= 250
         assert digests[3] in store

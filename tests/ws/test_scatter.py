@@ -7,6 +7,7 @@ import pytest
 
 from repro import obs
 from repro.errors import (DeadlineExceeded, TransportError, WorkflowError)
+from repro.ws import scatter
 from repro.ws.deadline import deadline_scope
 from repro.ws.scatter import (DEFAULT_CHUNK, ScatterGather, default_chunk,
                               set_default_chunk)
@@ -48,18 +49,21 @@ class TestMergeOrder:
 
 
 class TestAdaptiveChunks:
-    def test_chunk_grows_for_fast_endpoints_and_shrinks_for_slow(self):
-        sg = ScatterGather(2, chunk=8, min_chunk=2, max_chunk=64,
-                           target_chunk_s=1.0)
+    def test_chunk_grows_for_fast_endpoints_and_shrinks_for_slow(
+            self, monkeypatch):
+        monkeypatch.setattr(scatter, "MIN_CHUNK", 2)
+        monkeypatch.setattr(scatter, "TARGET_CHUNK_S", 1.0)
+        sg = ScatterGather(2, chunk=8, max_chunk=64)
         assert sg.chunk_for(0) == 8  # no feedback yet: the initial size
         sg._states[0].observe(0.01)   # fast: 100 items/s
         sg._states[1].observe(0.5)    # slow: 2 items/s
         assert sg.chunk_for(0) == 64  # 1.0/0.01 = 100, clamped to max
         assert sg.chunk_for(1) == 2   # 1.0/0.5 = 2, at the floor
 
-    def test_ewma_smooths_observations(self):
-        sg = ScatterGather(1, target_chunk_s=1.0, alpha=0.5,
-                           min_chunk=1, max_chunk=10_000)
+    def test_ewma_smooths_observations(self, monkeypatch):
+        monkeypatch.setattr(scatter, "TARGET_CHUNK_S", 1.0)
+        monkeypatch.setattr(scatter, "EWMA_ALPHA", 0.5)
+        sg = ScatterGather(1, max_chunk=10_000)
         sg._states[0].observe(0.1)
         sg._states[0].observe(0.3)   # EWMA: 0.5*0.3 + 0.5*0.1 = 0.2
         assert sg.chunk_for(0) == 5  # round(1.0 / 0.2)
@@ -167,8 +171,9 @@ class TestMigration:
         assert all(not d.migrated for d in report.dispatches
                    if d.completed and d is not salvaged)
 
-    def test_busy_survivor_marks_the_chunk_it_inherits(self):
-        sg = ScatterGather(2, chunk=2, min_chunk=2, max_chunk=2)
+    def test_busy_survivor_marks_the_chunk_it_inherits(self, monkeypatch):
+        monkeypatch.setattr(scatter, "MIN_CHUNK", 2)
+        sg = ScatterGather(2, chunk=2, max_chunk=2)
         zero_dead = threading.Event()
 
         def dispatch(endpoint, chunk_items, indices):
@@ -210,7 +215,7 @@ class TestBackpressure:
         from repro.clock import FakeClock
         from repro.errors import OverloadedError
         clock = FakeClock()
-        sg = ScatterGather(1, chunk=4, clock=clock, max_overloads=8)
+        sg = ScatterGather(1, chunk=4, clock=clock)
         sheds = [2]   # shed the first two dispatches, then recover
 
         def dispatch(endpoint, chunk_items, indices):
@@ -233,18 +238,19 @@ class TestBackpressure:
         from repro.clock import FakeClock
         from repro.errors import OverloadedError
         clock = FakeClock()
-        sg = ScatterGather(1, chunk=8, min_chunk=1, clock=clock)
+        sg = ScatterGather(1, chunk=8, clock=clock)
         assert sg.chunk_for(0) == 8
         sg._note_overload(0)
         assert sg.chunk_for(0) == 4     # seeded at half the start size
         sg._note_overload(0)
         assert sg.chunk_for(0) == 2     # EWMA doubles → bite halves
 
-    def test_persistent_saturation_migrates_to_survivors(self):
+    def test_persistent_saturation_migrates_to_survivors(self, monkeypatch):
         from repro.clock import FakeClock
         from repro.errors import OverloadedError
+        monkeypatch.setattr(scatter, "MAX_OVERLOADS", 2)
         clock = FakeClock()
-        sg = ScatterGather(2, chunk=4, clock=clock, max_overloads=2)
+        sg = ScatterGather(2, chunk=4, clock=clock)
 
         def dispatch(endpoint, chunk_items, indices):
             if endpoint == 0:   # saturated beyond patience, forever
@@ -293,17 +299,18 @@ class TestBackpressure:
         assert report.results == list(range(8))
         assert clock.sleeps == []
 
-    def test_success_resets_the_patience_counter(self):
+    def test_success_resets_the_patience_counter(self, monkeypatch):
         from repro.clock import FakeClock
         from repro.errors import OverloadedError
+        monkeypatch.setattr(scatter, "MAX_OVERLOADS", 2)
         clock = FakeClock()
-        sg = ScatterGather(1, chunk=2, clock=clock, max_overloads=2)
+        sg = ScatterGather(1, chunk=2, clock=clock)
         pattern = iter([True, False, True, False, True, False,
                         False, False, False, False])
 
         def dispatch(endpoint, chunk_items, indices):
             # alternate shed/serve: never two consecutive sheds, so
-            # patience (max_overloads=2) must never run out
+            # patience (MAX_OVERLOADS=2) must never run out
             if next(pattern, False):
                 raise OverloadedError("busy", retry_after_s=0.05)
             return list(chunk_items)
@@ -352,8 +359,9 @@ class TestOnChunk:
             assert results == [i * 2 for i in indices]
         assert len(seen) == len(report.dispatches)
 
-    def test_callback_fires_per_chunk_not_per_run(self):
-        sg = ScatterGather(1, chunk=2, min_chunk=2, max_chunk=2)
+    def test_callback_fires_per_chunk_not_per_run(self, monkeypatch):
+        monkeypatch.setattr(scatter, "MIN_CHUNK", 2)
+        sg = ScatterGather(1, chunk=2, max_chunk=2)
         calls = []
         sg.run(list(range(6)), lambda e, chunk, idx: list(chunk),
                on_chunk=lambda e, idx, out: calls.append(idx))

@@ -73,8 +73,9 @@ class TestSegmentStore:
             consumer.close()
             producer.close()
 
-    def test_eviction_unlinks_the_oldest_segment(self):
-        store = shm.SegmentStore(max_segments=2)
+    def test_eviction_unlinks_the_oldest_segment(self, monkeypatch):
+        monkeypatch.setattr(shm, "OWNED_MAX_SEGMENTS", 2)
+        store = shm.SegmentStore()
         digests = []
         try:
             for i in range(3):
@@ -89,8 +90,9 @@ class TestSegmentStore:
         finally:
             store.close()
 
-    def test_byte_budget_evicts_too(self):
-        store = shm.SegmentStore(max_bytes=8 * 1024)
+    def test_byte_budget_evicts_too(self, monkeypatch):
+        monkeypatch.setattr(shm, "OWNED_MAX_BYTES", 8 * 1024)
+        store = shm.SegmentStore()
         try:
             a = os.urandom(6 * 1024)
             b = os.urandom(6 * 1024)
@@ -133,9 +135,11 @@ class TestAttachedMappingsAreBounded:
         return bytes([i]) * 4096
 
     @pytest.fixture
-    def stores(self):
+    def stores(self, monkeypatch):
         producer = shm.SegmentStore()
-        consumer = shm.SegmentStore(max_segments=3)
+        with monkeypatch.context() as bounded:
+            bounded.setattr(shm, "OWNED_MAX_SEGMENTS", 3)
+            consumer = shm.SegmentStore()
         yield producer, consumer
         consumer.close()
         producer.close()
@@ -154,9 +158,11 @@ class TestAttachedMappingsAreBounded:
         # an evicted mapping is disarmed, not torn from under its view
         assert bytes(views[0]) == self.blob(0)
 
-    def test_the_byte_bound_holds_too(self, stores):
+    def test_the_byte_bound_holds_too(self, stores, monkeypatch):
         producer, _ = stores
-        consumer = shm.SegmentStore(max_bytes=10_000)
+        with monkeypatch.context() as bounded:
+            bounded.setattr(shm, "OWNED_MAX_BYTES", 10_000)
+            consumer = shm.SegmentStore()
         try:
             for i in range(4):
                 digest = payload.digest_bytes(self.blob(i))

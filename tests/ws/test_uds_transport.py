@@ -11,11 +11,12 @@ tree* over TCP and over the socket, modulo the ``send:`` kind.
 import asyncio
 import json
 import os
+import socket
 
 import pytest
 
 from repro import obs
-from repro.errors import TransportError
+from repro.errors import ServiceError, TransportError
 from repro.ws import shm
 from repro.ws.aserve import AsyncSoapHttpServer
 from repro.ws.client import ServiceProxy, fetch_url
@@ -132,6 +133,54 @@ class TestAsyncServerOverUds:
 
         assert asyncio.run(drive()) == "hello alan!"
         proxy.close()
+
+
+FRONTS = {"httpd": SoapHttpServer, "aserve": AsyncSoapHttpServer}
+
+
+@pytest.mark.parametrize("kind", sorted(FRONTS))
+class TestOnlyASocketIsReplaced:
+    """A front removes what sits at its ``uds_path`` only if it is a
+    dead socket: a stale one from a crashed server goes; a file that is
+    no socket, or a live server's socket, is refused and stays."""
+
+    def test_a_regular_file_survives_start_and_stop(self, kind, tmp_path):
+        path = tmp_path / "precious.txt"
+        path.write_text("keep me")
+        with pytest.raises(ServiceError, match="not a dead socket"):
+            front = FRONTS[kind](make_container(), uds_path=str(path))
+            try:
+                front.start()
+            finally:
+                front.stop()
+        assert path.read_text() == "keep me"
+
+    def test_a_stale_socket_is_replaced_and_removed_at_stop(self, kind,
+                                                           tmp_path):
+        path = str(tmp_path / "stale.sock")
+        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        stale.bind(path)
+        stale.close()  # the file outlives its listener, as after a crash
+        with FRONTS[kind](make_container(), uds_path=path) as front:
+            proxy = ServiceProxy.from_wsdl_url(
+                front.uds_endpoint("Greeter") + "?wsdl")
+            assert proxy.greet(name="ada") == "hello ada"
+            proxy.close()
+        assert not os.path.exists(path)
+
+    def test_a_live_servers_socket_is_left_to_it(self, kind, tmp_path):
+        path = str(tmp_path / "taken.sock")
+        with SoapHttpServer(make_container(), uds_path=path) as owner:
+            with pytest.raises(ServiceError, match="not a dead socket"):
+                front = FRONTS[kind](make_container(), uds_path=path)
+                try:
+                    front.start()
+                finally:
+                    front.stop()
+            proxy = ServiceProxy.from_wsdl_url(
+                owner.uds_endpoint("Greeter") + "?wsdl")
+            assert proxy.greet(name="ada") == "hello ada"
+            proxy.close()
 
 
 class TestBootNegotiation:
